@@ -350,7 +350,8 @@ def main(argv=None):
     except SolverFailure as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         if exc.diagnostics:
-            print("diagnostics: %s" % (exc.diagnostics,), file=sys.stderr)
+            print("diagnostics: " + json.dumps(exc.diagnostics, default=str,
+                                               sort_keys=True), file=sys.stderr)
         return EXIT_SOLVER
     print("elapsed %.2fs" % (time.monotonic() - started), file=sys.stderr)
     return EXIT_OK

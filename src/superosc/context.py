@@ -75,28 +75,15 @@ class Context:
 
     @property
     def bracket_rtol(self):
-        """Relative width at which eigenvalue brackets stop shrinking.
+        """Relative gap below which the solver calls two quantities equal.
 
-        Leaves 10 guard digits of the internal working precision.
+        Two eigenvalues closer than this (relative) are degenerate, a unit
+        bordered eigenvector whose last component is below it is decoupled
+        from the constraints (deflated), and a polynomial root whose
+        imaginary part is below it (relative) is real.  Leaves 10 guard
+        digits of the internal working precision.
         """
         return mpf(10) ** (-(self.work_dps - 10))
-
-    @property
-    def constraint_tolerance(self):
-        """Residual bound for interpolation checks: 10^-(digits-15)."""
-        return mpf(10) ** (-(self.digits - 15))
-
-    @property
-    def deflation_theta(self):
-        """Relative coupling threshold for secular-equation deflation.
-
-        A pole decouples when its coupling weight falls below
-        theta * sqrt(pole * fixed-block scale); theta is 1e-30 at 100
-        digits and scales as 10^-(3*digits/10).  The threshold is relative
-        to the per-pole scale, not absolute: small domains shrink every
-        coupling weight uniformly and must not trigger deflation.
-        """
-        return mpf(10) ** (-(3 * self.digits) // 10)
 
     @property
     def trust_floor(self):

@@ -2,16 +2,21 @@
 
 Rotating the overlap matrix into the constraint-adapted frame splits it
 into a free block, a fixed block, and their coupling.  Stationary values of
-the yield are then the roots of a scalar secular function
+the yield are then the roots of the secular function
 
-    s(Y) = q - Y*||mu~||^2 - sum_k v_k^2 / (d_k - Y)
+    s(Y) = q - Y*||mu~||^2 - g^T (Delta_free - Y)^-1 g,   g = Gamma*mu~,
 
-where d_k are the free-block eigenvalues, v_k the coupling weights in the
-free eigenbasis, and q the fixed-block quadratic form.  s is strictly
-decreasing between consecutive poles, so each of the N+2-M roots is
-bracketed and bisected to full working precision.  Expanding the same
-equation into polynomial coefficients is numerically treacherous, which is
-why the expanded form is kept only as an independent cross-check.
+with q the fixed-block quadratic form.  s(Y)/||mu~||^2 is the Schur
+complement of the symmetric bordered matrix
+
+    K = [[Delta_free, g/||mu~||], [g^T/||mu~||, q/||mu~||^2]],
+
+so all N+2-M roots are the eigenvalues of K, taken from one symmetric
+eigensolve.  Each signal comes from solving (Delta_free - Y) x = -g for its
+free part; an eigenvector of K with a vanishing last component marks a
+free direction decoupled from the constraints (deflation).  Expanding the
+same equation into polynomial coefficients is numerically treacherous,
+which is why the expanded form is kept only as an independent cross-check.
 """
 
 import warnings
@@ -79,172 +84,56 @@ def _quadratic_form(mat, vec):
     return (vec.T * (mat * vec))[0]
 
 
-def _secular_scalars(blocks: BlockDecomposition, frame: RotatedFrame):
-    """Eigen data of the free block plus the scalars entering s(Y)."""
-    d_vec, u = mp.eigsy(blocks.delta_free)
-    order = sorted(range(blocks.free_dim), key=lambda k: d_vec[k])
-    poles = [d_vec[k] for k in order]
-    coupling = u.T * (blocks.gamma * frame.mu_tilde)
-    weights = [coupling[k] for k in order]
-    basis = mp.zeros(blocks.free_dim, blocks.free_dim)
-    for new, old in enumerate(order):
-        for row in range(blocks.free_dim):
-            basis[row, new] = u[row, old]
+def _coupling(blocks: BlockDecomposition, frame: RotatedFrame):
+    """g = Gamma*mu~, q = mu~^T Delta_fixed mu~ and ||mu~||^2."""
+    g = blocks.gamma * frame.mu_tilde
     q_fixed = _quadratic_form(blocks.delta_fixed, frame.mu_tilde)
     norm_sq = (frame.mu_tilde.T * frame.mu_tilde)[0]
-    return poles, weights, basis, q_fixed, norm_sq
+    return g, q_fixed, norm_sq
 
 
-def _secular_function(poles, weights, q_fixed, norm_sq):
-    def s(y):
-        acc = q_fixed - norm_sq * y
-        for d, v in zip(poles, weights):
-            acc -= v * v / (d - y)
-        return acc
-    return s
+def _reconstruct(y, z, coupling, blocks, frame, ctx):
+    """Free part, signal, residuals and deflation flag for one root y.
 
-
-def _probe_sign(s, anchor, other, want_positive, floor):
-    """Point strictly between anchor and other where s has the wanted sign.
-
-    Walks geometrically from `other` toward `anchor`; s diverges at the
-    poles so a short walk suffices unless the bracket is degenerate.
+    The free part solves (Delta_free - y) x = -g.  When y comes with a
+    bordered eigenvector z whose last component vanishes, y is an
+    eigenvalue of Delta_free whose eigenvector z_free is decoupled from g
+    (the deflated case); adding z_free z_free^T lifts that null direction
+    and leaves the minimum-norm free part, orthogonal to z_free.
     """
-    gap = other - anchor
-    step = mpf("0.25")
-    while abs(step * gap) > floor:
-        candidate = anchor + step * gap
-        val = s(candidate)
-        if (val > 0) == want_positive and val != 0:
-            return candidate
-        step = step / 4
-    return None
-
-
-def _bisect(s, lo, hi, rtol, max_iter):
-    """Bisection on a bracket with s(lo) > 0 > s(hi).
-
-    Uses geometric midpoints while the bracket spans several octaves:
-    eigenvalues of small domains spread over many orders of magnitude and
-    arithmetic midpoints alone would waste hundreds of iterations.
-    """
-    for _ in range(max_iter):
-        if lo > 0 and hi / lo > 4:
-            mid = mp.sqrt(lo * hi)
-        else:
-            mid = (lo + hi) / 2
-        if not (lo < mid < hi):
-            break
-        if s(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < rtol * hi:
-            break
-    return (lo + hi) / 2
-
-
-def _solve_secular(poles, weights, q_fixed, norm_sq, ctx):
-    """All roots of the secular function, ascending, with deflation applied.
-
-    A pole whose coupling weight is negligible against its natural scale
-    sqrt(d_k * fixed-block scale) splits off as a root of the cleared
-    polynomial; the remaining poles bracket one root each, plus one root
-    below the smallest pole and one above the largest.
-    """
-    scale = max(q_fixed, norm_sq * (poles[-1] if poles else mpf(1)))
-    theta = ctx.deflation_theta
-    active = []
-    deflated = []
-    for k, (d, v) in enumerate(zip(poles, weights)):
-        v2 = v * v
-        if v2 == 0:
-            deflated.append(d)
-            continue
-        keep = True
-        if v2 < theta * theta * d * scale:
-            # Interlock: deflating moves the adjacent root by about
-            # v^2/|s_others(d)| to first order; only deflate when that
-            # shift is below the bracketing resolution, otherwise a weak
-            # but resolvable coupling would corrupt the root.
-            others = q_fixed - norm_sq * d - mp.fsum(
-                w * w / (dl - d)
-                for l, (dl, w) in enumerate(zip(poles, weights))
-                if l != k and dl != d
-            )
-            if others != 0 and v2 / abs(others) < ctx.bracket_rtol * d:
-                keep = False
-        if keep:
-            active.append((d, v))
-        else:
-            deflated.append(d)
-    for (d1, _), (d2, _) in zip(active, active[1:]):
-        if d2 - d1 < ctx.bracket_rtol * d2:
-            raise SolverFailure(
-                "free-block eigenvalues coincide at working precision; "
-                "degenerate roots are not resolvable",
-                diagnostics={"poles": poles},
-            )
-    s = _secular_function([d for d, _ in active], [v for _, v in active],
-                          q_fixed, norm_sq)
-    bounds = [mpf(0)] + [d for d, _ in active] + [mpf(1)]
-    floor = mpf(10) ** (-(ctx.work_dps + 10))
-    max_iter = 4 * ctx.work_dps + 60
-    roots = []
-    for i in range(len(bounds) - 1):
-        lo_anchor, hi_anchor = bounds[i], bounds[i + 1]
-        if i == 0 and s(lo_anchor) > 0:
-            lo = lo_anchor
-        else:
-            lo = _probe_sign(s, lo_anchor, hi_anchor, True, floor)
-        if i == len(bounds) - 2 and s(hi_anchor) < 0:
-            hi = hi_anchor
-        else:
-            hi = _probe_sign(s, hi_anchor, lo if lo is not None else lo_anchor,
-                             False, floor)
-        if lo is None or hi is None:
-            raise SolverFailure(
-                "could not bracket a root between poles",
-                diagnostics={"gap_index": i, "bounds": (lo_anchor, hi_anchor)},
-            )
-        roots.append(_bisect(s, lo, hi, ctx.bracket_rtol, max_iter))
-    all_roots = sorted(roots + deflated)
-    return all_roots, set(deflated), s
-
-
-def _reconstruct(root, poles, weights, basis, deflated, frame, blocks):
-    """Free part and full signal for one root.
-
-    The free part comes from the eigenbasis form of the stationarity
-    condition, component -v_k/(d_k - Y); deflated components carry no
-    coupling and are set to zero (minimum-norm choice).
-    """
-    f = len(poles)
-    w = mp.zeros(f, 1)
-    for k, (d, v) in enumerate(zip(poles, weights)):
-        if d in deflated or d == root:
-            w[k] = mpf(0)
-        else:
-            w[k] = v / (d - root)
-    free_part = -(basis * w)
+    f = blocks.free_dim
+    g, q_fixed, norm_sq = coupling
+    system = blocks.delta_free - y * mp.eye(f)
+    deflated = z is not None and abs(z[f]) <= ctx.bracket_rtol
+    if deflated:
+        z_free = z[0:f]
+        system += z_free * z_free.T
+    try:
+        free_part = mp.lu_solve(system, -g)
+    except ZeroDivisionError as exc:
+        raise SolverFailure(
+            "stationarity system is singular at eigenvalue %s; coincident "
+            "free-block eigenvalues are not resolvable" % mp.nstr(y, 8),
+            diagnostics={"eigenvalue": y, "deflated": deflated},
+        ) from exc
     coeffs = frame.assemble(free_part)
     signal = FourierCosineSignal(band_limit=frame.n, coeffs=tuple(coeffs))
-    stationarity = blocks.delta_free * free_part - root * free_part \
-        + blocks.gamma * frame.mu_tilde
+    stationarity = blocks.delta_free * free_part - y * free_part + g
     residual = mp.sqrt((stationarity.T * stationarity)[0])
-    return free_part, signal, residual
+    # last row of the bordered system, which a deflated root (z_last = 0)
+    # satisfies for any free part
+    secular = mpf(0) if deflated else \
+        abs(q_fixed - y * norm_sq + (g.T * free_part)[0])
+    return free_part, signal, residual, secular, deflated
 
 
 def _degenerate_single(blocks, frame, method, ctx):
     """M = N+1: the interpolant is unique, its yield is the one eigenvalue."""
-    norm_sq = (frame.mu_tilde.T * frame.mu_tilde)[0]
-    if norm_sq == 0:
-        raise ValueError("constraint targets are all zero")
-    y = _quadratic_form(blocks.delta_fixed, frame.mu_tilde) / norm_sq
+    _, q_fixed, norm_sq = _coupling(blocks, frame)
     coeffs = frame.particular_solution()
     signal = FourierCosineSignal(band_limit=frame.n, coeffs=tuple(coeffs))
     return GeneralizedSpectrum(
-        eigenvalues=(y,),
+        eigenvalues=(q_fixed / norm_sq,),
         signals=(signal,),
         free_parts=(mp.zeros(0, 1),),
         diagnostics={
@@ -257,7 +146,13 @@ def _degenerate_single(blocks, frame, method, ctx):
     )
 
 
-def _finalize(roots, deflated, secular, blocks, frame, method, ctx):
+def _finalize(roots, vectors, coupling, blocks, frame, method, ctx):
+    """Check the roots and reconstruct their signals.
+
+    vectors holds the bordered eigenvector of each root, or is None when
+    the roots come without one (polynomial route: no deflation); coupling
+    is _coupling(blocks, frame).
+    """
     expected = frame.free_dim + 1
     if len(roots) != expected:
         raise SolverFailure(
@@ -266,30 +161,20 @@ def _finalize(roots, deflated, secular, blocks, frame, method, ctx):
         )
     for y in roots:
         if not (0 < y < 1):
-            raise SolverFailure(
-                "eigenvalue %s outside (0, 1)" % mp.nstr(y, 8),
-                diagnostics={"roots": roots},
-            )
+            message = "eigenvalue %s outside (0, 1)" % mp.nstr(y, 8)
+            if abs(y) < ctx.trust_floor:
+                message += ("; it lies below the resolution of %d digits, "
+                            "raise --precision" % ctx.digits)
+            raise SolverFailure(message, diagnostics={"roots": roots})
     for y1, y2 in zip(roots, roots[1:]):
         if y2 - y1 < ctx.bracket_rtol * y2:
             raise SolverFailure(
                 "degenerate generalized eigenvalues at working precision",
                 diagnostics={"roots": roots},
             )
-    poles, weights, basis, _, _ = secular["eigdata"]
-    free_parts = []
-    signals = []
-    stationarity = []
-    sec_res = []
-    defl_flags = []
-    for y in roots:
-        fp, sig, res = _reconstruct(y, poles, weights, basis, deflated, frame, blocks)
-        free_parts.append(fp)
-        signals.append(sig)
-        stationarity.append(res)
-        is_deflated = y in deflated
-        defl_flags.append(is_deflated)
-        sec_res.append(mpf(0) if is_deflated else abs(secular["s"](y)))
+    parts = [_reconstruct(y, z, coupling, blocks, frame, ctx)
+             for y, z in zip(roots, vectors or [None] * len(roots))]
+    free_parts, signals, stationarity, sec_res, defl_flags = zip(*parts)
     if roots[0] < ctx.trust_floor:
         warnings.warn(
             "smallest eigenvalue %s is within 1e6 of the precision floor "
@@ -300,33 +185,44 @@ def _finalize(roots, deflated, secular, blocks, frame, method, ctx):
         )
     return GeneralizedSpectrum(
         eigenvalues=tuple(roots),
-        signals=tuple(signals),
-        free_parts=tuple(free_parts),
+        signals=signals,
+        free_parts=free_parts,
         diagnostics={
             "method": method,
             "completion_seed": frame.completion_seed,
-            "secular_residuals": tuple(sec_res),
-            "stationarity_residuals": tuple(stationarity),
-            "deflated": tuple(defl_flags),
+            "secular_residuals": sec_res,
+            "stationarity_residuals": stationarity,
+            "deflated": defl_flags,
         },
     )
 
 
 def secular_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
                      ctx: Context = FAST) -> GeneralizedSpectrum:
-    """All N+2-M generalized eigenvalues via bracketed secular root finding."""
+    """All N+2-M generalized eigenvalues from one bordered eigensolve.
+
+    The roots of s(Y) are the eigenvalues of the symmetric (f+1)x(f+1)
+    matrix K = [[Delta_free, g/||mu~||], [g^T/||mu~||, q/||mu~||^2]]:
+    det(K - Y) = det(Delta_free - Y) * s(Y) / ||mu~||^2.
+    """
     if blocks.free_dim != frame.free_dim or blocks.m != frame.m:
         raise ValueError("block decomposition does not match the frame")
     with ctx.workprec():
-        norm_sq = (frame.mu_tilde.T * frame.mu_tilde)[0]
+        coupling = g, q_fixed, norm_sq = _coupling(blocks, frame)
         if norm_sq == 0:
             raise ValueError("constraint targets are all zero")
         if frame.free_dim == 0:
             return _degenerate_single(blocks, frame, "secular", ctx)
-        poles, weights, basis, q_fixed, norm_sq = _secular_scalars(blocks, frame)
-        roots, deflated, s = _solve_secular(poles, weights, q_fixed, norm_sq, ctx)
-        secular = {"s": s, "eigdata": (poles, weights, basis, q_fixed, norm_sq)}
-        return _finalize(roots, deflated, secular, blocks, frame, "secular", ctx)
+        f = blocks.free_dim
+        norm = mp.sqrt(norm_sq)
+        bordered = mp.zeros(f + 1, f + 1)
+        bordered[0:f, 0:f] = blocks.delta_free
+        for i in range(f):
+            bordered[i, f] = bordered[f, i] = g[i] / norm
+        bordered[f, f] = q_fixed / norm_sq
+        roots, vectors = mp.eigsy(bordered)
+        return _finalize(list(roots), [vectors.column(k) for k in range(f + 1)],
+                         coupling, blocks, frame, "secular", ctx)
 
 
 def polynomial_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
@@ -349,8 +245,7 @@ def polynomial_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
     with mp.workdps(2 * ctx.work_dps):
         f = blocks.free_dim
         char, adj_terms = _faddeev_leverrier(blocks.delta_free, f)
-        w = blocks.gamma * frame.mu_tilde
-        q_fixed = _quadratic_form(blocks.delta_fixed, frame.mu_tilde)
+        coupling = w, q_fixed, norm_sq = _coupling(blocks, frame)
         # p(Y) = (q - ||mu~||^2 Y) det(YI - free) + w^T adj(YI - free) w
         coeffs = [mpf(0)] * (f + 2)  # ascending in Y
         for i in range(f + 1):
@@ -375,10 +270,7 @@ def polynomial_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
         roots.sort()
     with ctx.workprec():
         roots = [+y for y in roots]
-        poles, weights, basis, q2, n2 = _secular_scalars(blocks, frame)
-        s = _secular_function(poles, weights, q2, n2)
-        secular = {"s": s, "eigdata": (poles, weights, basis, q2, n2)}
-        return _finalize(roots, set(), secular, blocks, frame, "polynomial", ctx)
+        return _finalize(roots, None, coupling, blocks, frame, "polynomial", ctx)
 
 
 def _faddeev_leverrier(matrix, n):

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's computational paths:
 overlap entries come from adaptive quadrature instead of antiderivatives,
 minimum-norm interpolants from normal equations instead of the frame
-machinery, and optimal yields from random-restart projected ascent instead
-of the secular equation.
+machinery, optimal yields from random-restart projected ascent instead of
+the bordered eigensolve, and the secular function from an eigendecomposition
+of the free block instead of the bordered matrix.
 """
 
 import numpy as np
@@ -202,6 +203,33 @@ def projected_ascent_max_mpf(delta, c, mu, restarts=20, seed=0, dps=60):
                     g0, h0, g1 = g1, h1, g_next
             best = max(best, g)
         return best
+
+
+def secular_equation(delta_free, gamma, delta_fixed, mu_tilde, dps):
+    """Secular function of the block decomposition, pole form, at dps digits.
+
+    With (d_k, u_k) the eigenpairs of delta_free, v = U^T gamma mu_tilde and
+    q = mu_tilde^T delta_fixed mu_tilde, returns Y -> (s(Y), s'(Y)) where
+
+        s(Y)  = q - Y ||mu_tilde||^2 - sum_k v_k^2 / (d_k - Y)
+        s'(Y) = -||mu_tilde||^2 - sum_k v_k^2 / (d_k - Y)^2.
+
+    |s'(Y)| is the energy of the stationary signal at Y, the scale by which
+    s moves when Y is rounded.
+    """
+    with mp.workdps(dps):
+        poles, basis = mp.eigsy(delta_free)
+        weights = basis.T * (gamma * mu_tilde)
+        q = (mu_tilde.T * (delta_fixed * mu_tilde))[0]
+        norm_sq = (mu_tilde.T * mu_tilde)[0]
+
+    def evaluate(y):
+        with mp.workdps(dps):
+            terms = [(v * v, d - y) for d, v in zip(poles, weights)]
+            value = q - y * norm_sq - mp.fsum(w / gap for w, gap in terms)
+            slope = -norm_sq - mp.fsum(w / (gap * gap) for w, gap in terms)
+            return value, slope
+    return evaluate
 
 
 def mpf_matrix_to_numpy(mat):

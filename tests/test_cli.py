@@ -115,6 +115,18 @@ class TestSpectrum:
         assert series.exists()
         assert len(series.read_text().strip().splitlines()) == 18
 
+    def test_solver_failure_prints_json_diagnostics(self, tmp_path, capsys):
+        # the true smallest eigenvalue is 2.15e-47, far below 15 digits
+        code, _ = run_cli(tmp_path, "spectrum", "-n", "20", "-m", "3",
+                          "--interval", "1")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "raise --precision" in err
+        lines = [l for l in err.splitlines() if l.startswith("diagnostics: ")]
+        assert len(lines) == 1
+        diagnostics = json.loads(lines[0][len("diagnostics: "):])
+        assert len(diagnostics["roots"]) == 19  # N+2-M
+
 
 class TestBaseline:
     def test_fields(self, tmp_path):

@@ -20,10 +20,6 @@ class TestContext:
         assert ctx.rank_tolerance == mpf("1e-10")
         assert ctx.trust_floor == mpf("1e-9")
 
-    def test_high_precision_deflation_threshold(self):
-        ctx = Context(100)
-        assert ctx.deflation_theta == mpf("1e-30")
-
     def test_string_conversion_exact_at_precision(self):
         ctx = Context(40)
         x = ctx.real("0.1")

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from superosc import (
@@ -29,10 +31,12 @@ from oracles import (
     min_norm_interpolant,
     mpf_matrix_to_numpy,
     projected_ascent_max_float,
+    secular_equation,
 )
 
 CTX = Context(15)
 CTX30 = Context(30)
+CTX40 = Context(40)
 
 
 def build_problem(n, m, domain, ctx, seed=0):
@@ -119,7 +123,7 @@ class TestSecularSpectrum:
                            spec.free_parts):
             with CTX30.workprec():
                 scale = 1 + mp.sqrt((fp.T * fp)[0])
-            assert res < CTX30.constraint_tolerance * scale
+            assert res < mpf("1e-15") * scale
 
     def test_yield_consistency(self):
         domain = symmetrize_domain(0, 1)
@@ -138,7 +142,7 @@ class TestSecularSpectrum:
         spec = secular_spectrum(blocks, frame, CTX30)
         for sig in spec.signals:
             for t, v in zip(cs.points, cs.values):
-                assert abs(evaluate(sig, t, CTX30) - v) < CTX30.constraint_tolerance
+                assert abs(evaluate(sig, t, CTX30) - v) < mpf("1e-15")
 
     def test_completion_seed_invariance(self):
         domain = symmetrize_domain(0, 1)
@@ -185,6 +189,45 @@ class TestSecularSpectrum:
         _, _, frame, _, blocks = build_problem(10, 6, domain, CTX)
         with pytest.warns(PrecisionWarning):
             secular_spectrum(blocks, frame, CTX)
+
+
+class TestBorderedMatchesSecular:
+    # Over N in [3, 8], 2 <= M <= N and a in [0.5, 2] the smallest
+    # eigenvalue is 2.6e-29 (N=8, M=2, a=0.5; every N, M on a 0.05 grid of
+    # a solved at 80 digits), far above the 1e-34 trust floor of 40 digits.
+    @given(nm=st.integers(3, 8).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(2, n))),
+           hundredths=st.integers(50, 200))
+    @settings(max_examples=25, deadline=None)
+    def test_eigenvalues_are_roots_of_secular_function(self, nm, hundredths):
+        n, m = nm
+        domain = symmetrize_domain(0, "%.2f" % (hundredths / 100))
+        _, _, frame, _, blocks = build_problem(n, m, domain, CTX40)
+        spec = secular_spectrum(blocks, frame, CTX40)
+        vals = spec.eigenvalues
+        assert len(vals) == n + 2 - m
+        assert all(0 < v < 1 for v in vals)
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+        assert vals[0] > CTX40.trust_floor
+        s = secular_equation(blocks.delta_free, blocks.gamma,
+                             blocks.delta_fixed, frame.mu_tilde,
+                             dps=CTX40.digits + 40)
+        for y, deflated in zip(vals, spec.diagnostics["deflated"]):
+            if not deflated:
+                value, slope = s(y)
+                assert abs(value) <= mpf(10) ** -CTX40.digits * abs(slope)
+
+
+class TestPrecisionLadder:
+    def test_100_and_130_digit_spectra_agree(self):
+        domain = symmetrize_domain(0, 1)
+        low = design_spectrum(10, 6, domain, Context(100)).spectrum.eigenvalues
+        high = design_spectrum(10, 6, domain, Context(130)).spectrum.eigenvalues
+        assert len(low) == len(high) == 6
+        assert min(low) > mpf("1e-94")
+        with Context(130).workprec():
+            worst = max(abs(a - b) / b for a, b in zip(low, high))
+        assert worst < mpf("1e-90")
 
 
 class TestDeflation:
