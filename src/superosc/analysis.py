@@ -1,8 +1,11 @@
 """Yields, oscillation counts, and parameter sweeps.
 
-Yields are computed twice on purpose: once algebraically from the overlap
-quadratic form and once by adaptive quadrature of the signal itself.  The
-two routes share no code, so their agreement is a real consistency check.
+Yields are computed twice on purpose: algebraically from the overlap
+quadratic form (closed-form antiderivatives in domains.py) and by adaptive
+quadrature of the squared signal (signals.cosine_basis).  The quadrature
+route shares no code with overlap_matrix, so their agreement is a real
+consistency check; it shares the cosine kernel with evaluate and
+constraint_matrix, and a fault there moves only the quadrature yield.
 Oscillations are operationalized as strict sign changes on a uniform grid
 (default density 1e5 points per unit length), with samples landing exactly
 on a zero counted once.
@@ -16,7 +19,7 @@ from .context import FAST, Context
 from .design import design_spectrum
 from .domains import Domain, OverlapMatrix, overlap_matrix, symmetrize_domain
 from .errors import SolverFailure
-from .signals import FourierCosineSignal, energy_per_period, values_on_grid
+from .signals import FourierCosineSignal, cosine_basis, energy_per_period, values_on_grid
 
 GRID_DENSITY = 10 ** 5  # crossing-count samples per unit length
 
@@ -31,20 +34,13 @@ class YieldReport:
     signal: FourierCosineSignal
 
 
-def _raw_value(signal, t):
-    acc = signal.coeffs[0] / mp.sqrt(2 * mp.pi)
-    inv_sqrt_pi = 1 / mp.sqrt(mp.pi)
-    for m in range(1, signal.band_limit + 1):
-        acc += signal.coeffs[m] * inv_sqrt_pi * mp.cos(m * t)
-    return acc
-
-
 def _integrate_squared(signal, lo, hi):
     """Integral of f^2 over [lo, hi], split into sub-unit panels."""
-    panels = max(1, int(mp.ceil((hi - lo) * max(2, signal.band_limit) / 3)))
+    n = signal.band_limit
+    panels = max(1, int(mp.ceil((hi - lo) * max(2, n) / 3)))
     step = (hi - lo) / panels
     return mp.fsum(
-        mp.quad(lambda t: _raw_value(signal, t) ** 2,
+        mp.quad(lambda t: mp.fdot(signal.coeffs, cosine_basis(n, t)) ** 2,
                 [lo + k * step, lo + (k + 1) * step])
         for k in range(panels)
     )

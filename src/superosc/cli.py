@@ -214,15 +214,16 @@ def cmd_baseline(args, ctx):
     fk = fk_min_energy_signal(result.frame, ctx)
     fk_report = yield_of(fk, domain, result.delta, ctx)
     with ctx.workprec():
-        mu_norm_sq = (result.frame.mu_tilde.T * result.frame.mu_tilde)[0]
-        fk_energy = mp.fsum(c * c for c in fk.coeffs)
+        # the FK signal is (0, mu~) in the orthogonal frame: its energy is
+        # ||mu~||^2, one value for both fields rather than two roundings of it
+        fk_energy = (result.frame.mu_tilde.T * result.frame.mu_tilde)[0]
     modes = slepian_modes(result.delta, ctx)
     doc = {
         "config": _config_echo(args, ctx, domain),
         "fk_minimum_energy": {
             "coefficients": [ctx.to_decimal(c) for c in fk.coeffs],
             "energy": ctx.to_decimal(fk_energy),
-            "mu_tilde_norm_sq": ctx.to_decimal(mu_norm_sq),
+            "mu_tilde_norm_sq": ctx.to_decimal(fk_energy),
             "yield_algebraic": ctx.to_decimal(fk_report.algebraic),
             "yield_quadrature": ctx.to_decimal(fk_report.quadrature),
         },
@@ -335,6 +336,13 @@ def parse_document(text):
     return json.loads(text)
 
 
+def _diagnostic_number(x, ctx):
+    """JSON form of an mpf (full-precision decimal) or mpc (its two parts)."""
+    if isinstance(x, mp.mpc):
+        return {"real": ctx.to_decimal(x.real), "imag": ctx.to_decimal(x.imag)}
+    return ctx.to_decimal(x)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -350,8 +358,9 @@ def main(argv=None):
     except SolverFailure as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         if exc.diagnostics:
-            print("diagnostics: " + json.dumps(exc.diagnostics, default=str,
-                                               sort_keys=True), file=sys.stderr)
+            print("diagnostics: " + json.dumps(
+                exc.diagnostics, default=lambda x: _diagnostic_number(x, ctx),
+                sort_keys=True), file=sys.stderr)
         return EXIT_SOLVER
     print("elapsed %.2fs" % (time.monotonic() - started), file=sys.stderr)
     return EXIT_OK

@@ -16,6 +16,7 @@ from mpmath import mp, mpf
 
 from .context import FAST, Context
 from .errors import InfeasibleConstraints, RankDeficientConstraints
+from .signals import cosine_basis
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,7 @@ def constraint_matrix(cs: ConstraintSet, n: int, ctx: Context = FAST) -> Constra
     if n < 1:
         raise ValueError("band limit must be >= 1")
     with ctx.workprec():
-        entries = mp.zeros(cs.m, n + 1)
-        inv_sqrt_2pi = 1 / mp.sqrt(2 * mp.pi)
-        inv_sqrt_pi = 1 / mp.sqrt(mp.pi)
-        for j, t in enumerate(cs.points):
-            t = ctx.real(t)
-            entries[j, 0] = inv_sqrt_2pi
-            for m in range(1, n + 1):
-                entries[j, m] = inv_sqrt_pi * mp.cos(m * t)
+        entries = mp.matrix([cosine_basis(n, ctx.real(t)) for t in cs.points])
         return ConstraintMatrix(n=n, entries=entries, points=cs.points)
 
 
@@ -146,7 +140,8 @@ def reduce_rank(cm: ConstraintMatrix, values, tol, ctx: Context = FAST):
             n=cm.n, entries=kept_entries, points=tuple(cm.points[j] for j in kept)
         )
         kept_values = tuple(mpf(values[j]) for j in kept)
-        particular = _particular_solution(kept_cm, kept_values)
+        basis, mu_tilde = _constraint_basis_and_mu_tilde(kept_cm, kept_values, tol)
+        particular = sum((u * c for u, c in zip(basis, mu_tilde)), mp.zeros(cm.n + 1, 1))
         for j in dropped:
             predicted = (cm.row(j).T * particular)[0]
             if abs(predicted - mpf(values[j])) >= tol:
@@ -257,10 +252,3 @@ def orthonormal_frame(
             values=tuple(mpf(v) for v in values),
         )
 
-
-def _particular_solution(cm: ConstraintMatrix, values):
-    basis, mu_tilde = _constraint_basis_and_mu_tilde(cm, values, mpf("1e-300"))
-    acc = mp.zeros(cm.n + 1, 1)
-    for u, coord in zip(basis, mu_tilde):
-        acc += u * coord
-    return acc

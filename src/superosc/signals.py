@@ -6,6 +6,7 @@ so the energy per period is just the squared coefficient norm.  Signals
 are even and 2*pi-periodic by construction.
 """
 
+import functools
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -34,19 +35,34 @@ class FourierCosineSignal:
             raise ValueError("coefficients must be finite")
 
 
-def evaluate(signal: FourierCosineSignal, t, ctx: Context = FAST):
-    """Evaluate the signal at time t by direct summation.
+def cosine_basis(n: int, t):
+    """Orthonormal basis values 1/sqrt(2*pi), cos(t)/sqrt(pi), ..., cos(n*t)/sqrt(pi).
 
-    Band limits in this package stay small, so a plain sum over harmonics
-    is both simple and accurate; no recurrence is used here.
+    The package's one cosine evaluation: a single mp.cos(t) and the
+    Chebyshev recurrence cos(mt) = 2cos(t)cos((m-1)t) - cos((m-2)t), which
+    is linear and so runs on the values scaled by 1/sqrt(pi).  Computes at
+    the caller's precision and opens no precision context of its own.
     """
+    inv_sqrt_2pi, inv_sqrt_pi = _normalizers(mp.prec)
+    cos_t = mp.cos(t)
+    values = [inv_sqrt_pi, cos_t * inv_sqrt_pi]
+    for _ in range(2, n + 1):
+        values.append(2 * cos_t * values[-1] - values[-2])
+    values[0] = inv_sqrt_2pi
+    return values
+
+
+@functools.lru_cache(maxsize=32)
+def _normalizers(prec):
+    # cached: two square roots per call cost 20-40% of a grid or quadrature node
+    with mp.workprec(prec):
+        return 1 / mp.sqrt(2 * mp.pi), 1 / mp.sqrt(mp.pi)
+
+
+def evaluate(signal: FourierCosineSignal, t, ctx: Context = FAST):
+    """f(t) = coeffs . cosine_basis(N, t), at the context's working precision."""
     with ctx.workprec():
-        t = ctx.real(t)
-        acc = signal.coeffs[0] / mp.sqrt(2 * mp.pi)
-        inv_sqrt_pi = 1 / mp.sqrt(mp.pi)
-        for m in range(1, signal.band_limit + 1):
-            acc += signal.coeffs[m] * inv_sqrt_pi * mp.cos(m * t)
-        return acc
+        return mp.fdot(signal.coeffs, cosine_basis(signal.band_limit, ctx.real(t)))
 
 
 def energy_per_period(signal: FourierCosineSignal, ctx: Context = FAST):
@@ -68,15 +84,14 @@ def sample(signal: FourierCosineSignal, lo, hi, count: int, ctx: Context = FAST)
         return [(lo + k * step, evaluate(signal, lo + k * step, ctx)) for k in range(count)]
 
 
-def values_on_grid(signal: FourierCosineSignal, lo, hi, count: int, extra_dps: int = 0):
+def values_on_grid(signal: FourierCosineSignal, lo, hi, count: int):
     """Yield (t, f(t)) on a uniform grid, tuned for large grids.
 
-    Internal helper for crossing counts and quadrature-scale work: uses the
-    cosine recurrence cos(mt) = 2cos(t)cos((m-1)t) - cos((m-2)t) per grid
-    point, and raises the working precision by the cancellation headroom of
-    the coefficient vector (superoscillating signals combine huge
-    coefficients into order-one values inside the domain).  A generator so
-    that hundred-thousand-point grids never sit in memory at once.
+    Internal helper for crossing counts: each value is coeffs .
+    cosine_basis(N, t) at 25 digits plus the cancellation headroom of the
+    coefficients (superoscillating signals combine huge coefficients into
+    order-one values inside the domain).  A generator so that
+    hundred-thousand-point grids never sit in memory at once.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
@@ -85,24 +100,13 @@ def values_on_grid(signal: FourierCosineSignal, lo, hi, count: int, extra_dps: i
         headroom = 0
     else:
         headroom = max(0, int(mp.ceil(mp.log10(scale))))
-    dps = 25 + headroom + extra_dps
+    dps = 25 + headroom
     with mp.workdps(dps):
         lo = mpf(lo) * 1
         hi = mpf(hi) * 1
         step = (hi - lo) / (count - 1)
-        c0 = 1 / mp.sqrt(2 * mp.pi)
-        cp = 1 / mp.sqrt(mp.pi)
-        coeffs = [signal.coeffs[0] * c0] + [c * cp for c in signal.coeffs[1:]]
-        n = signal.band_limit
     for k in range(count):
         with mp.workdps(dps):
             t = lo + k * step
-            c1 = mp.cos(t)
-            acc = coeffs[0]
-            if n >= 1:
-                acc += coeffs[1] * c1
-            ckm1, ck = mpf(1), c1
-            for m in range(2, n + 1):
-                ckm1, ck = ck, 2 * c1 * ck - ckm1
-                acc += coeffs[m] * ck
-        yield t, acc
+            value = mp.fdot(signal.coeffs, cosine_basis(signal.band_limit, t))
+        yield t, value

@@ -54,14 +54,20 @@ class TestYield:
             report = yield_of(sig, domain, result.delta, CTX30)
             assert abs(report.algebraic - lam) / lam < 1e-8
 
-    def test_quadrature_matches_algebraic_on_solver_output(self):
+    # the 60-digit case is smaller because quadrature cost grows with digits
+    @pytest.mark.parametrize("ctx, n, m", [(CTX, 7, 4), (Context(60), 5, 3)],
+                             ids=["15", "60"])
+    def test_quadrature_matches_algebraic_on_solver_output(self, ctx, n, m):
         domain = symmetrize_domain(0, "1.2")
-        result = design_spectrum(7, 4, domain, CTX)
+        result = design_spectrum(n, m, domain, ctx)
         for lam, sig in zip(result.spectrum.eigenvalues, result.spectrum.signals):
             if lam < mpf("1e-12"):
                 continue
-            report = yield_of(sig, domain, result.delta, CTX)
-            assert abs(report.algebraic - report.quadrature) / report.algebraic < 1e-8
+            report = yield_of(sig, domain, result.delta, ctx)
+            gap = abs(report.algebraic - report.quadrature)
+            assert gap / report.algebraic < 1e-8
+            if lam > ctx.trust_floor:
+                assert gap < mpf(10) ** (3 - ctx.digits)
 
     def test_zero_energy_rejected(self):
         domain = symmetrize_domain(0, 1)

@@ -3,9 +3,16 @@
 import json
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
+from superosc import cli
 from superosc.cli import main, parse_document, render_json
+from superosc.errors import SolverFailure
+
+
+def significant_digits(decimal):
+    mantissa = decimal.lstrip("-").split("e")[0].replace(".", "")
+    return len(mantissa.lstrip("0"))
 
 
 def run_cli(tmp_path, *argv):
@@ -126,6 +133,35 @@ class TestSpectrum:
         assert len(lines) == 1
         diagnostics = json.loads(lines[0][len("diagnostics: "):])
         assert len(diagnostics["roots"]) == 19  # N+2-M
+        # at 100 digits the roots keep every digit, not the ambient 15
+        code, _ = run_cli(tmp_path, "spectrum", "-n", "20", "-m", "3",
+                          "--interval", "0.015625", "--precision", "100")
+        assert code == 3
+        err = capsys.readouterr().err
+        lines = [l for l in err.splitlines() if l.startswith("diagnostics: ")]
+        roots = json.loads(lines[0][len("diagnostics: "):])["roots"]
+        assert len(roots) == 19
+        assert all(significant_digits(r) >= 100 for r in roots)
+
+    def test_complex_diagnostics_keep_both_parts(self, tmp_path, capsys,
+                                                 monkeypatch):
+        with mp.workdps(130):
+            root = mp.mpc(mpf(1) / 3, -mpf(2) / 7)
+
+        def fail(*args, **kwargs):
+            raise SolverFailure("complex root", diagnostics={"roots": [root]})
+        monkeypatch.setattr(cli, "design_spectrum", fail)
+        code, _ = run_cli(tmp_path, "spectrum", "-n", "6", "-m", "3",
+                          "--interval", "1", "--precision", "100")
+        assert code == 3
+        err = capsys.readouterr().err
+        lines = [l for l in err.splitlines() if l.startswith("diagnostics: ")]
+        (part,) = json.loads(lines[0][len("diagnostics: "):])["roots"]
+        assert significant_digits(part["real"]) >= 100
+        assert significant_digits(part["imag"]) >= 100
+        with mp.workdps(130):
+            assert abs(mpf(part["real"]) - mpf(1) / 3) < mpf(10) ** -100
+            assert abs(mpf(part["imag"]) + mpf(2) / 7) < mpf(10) ** -100
 
 
 class TestBaseline:

@@ -7,6 +7,7 @@ from mpmath import mp, mpf
 
 from superosc import (
     ConstraintMatrix,
+    ConstraintSet,
     Context,
     FourierCosineSignal,
     InfeasibleConstraints,
@@ -114,6 +115,21 @@ class TestReduceRank:
         as_float = np.array([[float(cm.entries[i, j]) for j in range(9)]
                              for i in range(5)])
         assert np.linalg.matrix_rank(as_float, tol=1e-10) == 5
+
+    def test_tolerance_below_rank_tolerance(self):
+        # rows 1 and 2 are 1e-12 apart, nearly dependent but kept at
+        # tol=1e-20 < CTX.rank_tolerance; the duplicate of row 0 is dropped
+        with CTX.workprec():
+            points = (mpf(0), mpf("0.5"), mpf("0.5") + mpf("1e-12"))
+        cm = constraint_matrix(ConstraintSet(points=points, values=(1, -1, -1)), 5, CTX)
+        entries = mp.zeros(4, 6)
+        for j in range(4):
+            for k in range(6):
+                entries[j, k] = cm.entries[j % 3, k]
+        dup = ConstraintMatrix(n=5, entries=entries, points=points + (points[0],))
+        reduced, kept_values = reduce_rank(dup, [1, -1, -1, 1], mpf("1e-20"), CTX)
+        assert reduced.points == points
+        assert kept_values == (1, -1, -1)
 
     def test_nonpositive_tolerance_rejected(self):
         cs = alternating_constraints(0, 1, 2)

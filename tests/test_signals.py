@@ -1,15 +1,26 @@
 """Tests for the cosine-basis signal type."""
 
+import ast
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from superosc import Context, FourierCosineSignal, energy_per_period, evaluate, sample
+import superosc
+from superosc import (
+    ConstraintSet,
+    Context,
+    FourierCosineSignal,
+    constraint_matrix,
+    energy_per_period,
+    evaluate,
+    sample,
+)
 
-from oracles import quad_energy
+from oracles import basis_value, quad_energy
 
 CTX = Context(15)
 
@@ -55,6 +66,43 @@ class TestEvaluate:
         expected = alpha * evaluate(make_signal(c1), t, CTX) \
             + beta * evaluate(make_signal(c2), t, CTX)
         assert abs(evaluate(combo, t, CTX) - expected) < 1e-13
+
+
+class TestCosineKernel:
+    HIGH = Context(100)
+
+    def test_basis_matches_direct_cosines_at_high_precision(self):
+        # the recurrence loses most near t = 0 and t = pi
+        n = 20
+        points = ("1e-8", "0.3", "1.7", mp.pi - mpf("1e-6"), mp.pi)
+        cs = ConstraintSet(points=points, values=(1,) * len(points))
+        cm = constraint_matrix(cs, n, self.HIGH)
+        tol = mpf(10) ** -(self.HIGH.digits + 5)
+        for j, t in enumerate(cm.points):
+            for i in range(n + 1):
+                unit = make_signal([1 if k == i else 0 for k in range(n + 1)])
+                value = evaluate(unit, t, self.HIGH)
+                with mp.workdps(130):
+                    exact = basis_value(i, t)
+                    assert abs(cm.entries[j, i] - exact) < tol, (i, t)
+                    assert abs(value - exact) < tol, (i, t)
+
+    def test_kernel_is_the_only_cosine_evaluation(self):
+        # every cosine series in the package goes through cosine_basis
+        package = pathlib.Path(superosc.__file__).parent
+        sites = set()
+        for path in sorted(package.glob("*.py")):
+            source = path.read_text()
+            functions = [node for node in ast.walk(ast.parse(source))
+                         if isinstance(node, ast.FunctionDef)]
+            for lineno, line in enumerate(source.splitlines(), start=1):
+                if "mp.cos(" in line:
+                    enclosing = [f for f in functions
+                                 if f.lineno <= lineno <= f.end_lineno]
+                    name = min(enclosing, key=lambda f: f.end_lineno - f.lineno,
+                               default=None)
+                    sites.add((path.name, name and name.name))
+        assert sites == {("signals.py", "cosine_basis")}
 
 
 class TestEnergy:
