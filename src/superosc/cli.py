@@ -37,8 +37,8 @@ EXIT_INVALID = 2
 EXIT_SOLVER = 3
 
 # Default grid density for the crossings column (per unit length).  The
-# headline 1e5/unit operationalization lives in analysis.zero_crossings;
-# the CLI column uses a lighter default to keep runs snappy.
+# headline 1e5/unit operationalization lives in analysis.zero_crossings; the
+# CLI column keeps its coarser grid, on which its documents' counts stand.
 CLI_CROSSING_DENSITY = 10 ** 4
 
 

@@ -9,7 +9,7 @@ are even and 2*pi-periodic by construction.
 import functools
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .context import FAST, Context
 
@@ -29,10 +29,11 @@ class FourierCosineSignal:
                 "expected %d coefficients, got %d"
                 % (self.band_limit + 1, len(self.coeffs))
             )
-        # mpf(c) is exact for mpf/int/float inputs: no precision is lost here.
-        object.__setattr__(self, "coeffs", tuple(mpf(c) for c in self.coeffs))
-        if any(not mp.isfinite(c) for c in self.coeffs):
-            raise ValueError("coefficients must be finite")
+        # mpmathify returns an mpf unchanged, at its own precision; mpf(c)
+        # would round it to the ambient one.
+        object.__setattr__(self, "coeffs", tuple(mp.mpmathify(c) for c in self.coeffs))
+        if any(not (isinstance(c, mp.mpf) and mp.isfinite(c)) for c in self.coeffs):
+            raise ValueError("coefficients must be finite reals")
 
 
 def cosine_basis(n: int, t):
@@ -82,31 +83,3 @@ def sample(signal: FourierCosineSignal, lo, hi, count: int, ctx: Context = FAST)
             raise ValueError("need lo < hi")
         step = (hi - lo) / (count - 1)
         return [(lo + k * step, evaluate(signal, lo + k * step, ctx)) for k in range(count)]
-
-
-def values_on_grid(signal: FourierCosineSignal, lo, hi, count: int):
-    """Yield (t, f(t)) on a uniform grid, tuned for large grids.
-
-    Internal helper for crossing counts: each value is coeffs .
-    cosine_basis(N, t) at 25 digits plus the cancellation headroom of the
-    coefficients (superoscillating signals combine huge coefficients into
-    order-one values inside the domain).  A generator so that
-    hundred-thousand-point grids never sit in memory at once.
-    """
-    if count < 2:
-        raise ValueError("count must be >= 2")
-    scale = max(abs(c) for c in signal.coeffs)
-    if scale == 0:
-        headroom = 0
-    else:
-        headroom = max(0, int(mp.ceil(mp.log10(scale))))
-    dps = 25 + headroom
-    with mp.workdps(dps):
-        lo = mpf(lo) * 1
-        hi = mpf(hi) * 1
-        step = (hi - lo) / (count - 1)
-    for k in range(count):
-        with mp.workdps(dps):
-            t = lo + k * step
-            value = mp.fdot(signal.coeffs, cosine_basis(signal.band_limit, t))
-        yield t, value

@@ -4,13 +4,16 @@ Everything here deliberately avoids the library's computational paths:
 overlap entries come from adaptive quadrature instead of antiderivatives,
 minimum-norm interpolants from normal equations instead of the frame
 machinery, optimal yields from random-restart projected ascent instead of
-the bordered eigensolve, and the secular function from an eigendecomposition
-of the free block instead of the bordered matrix.
+the bordered eigensolve, the secular function from an eigendecomposition
+of the free block instead of the bordered matrix, and crossing counts from
+every grid sample instead of the samples next to a root.
 """
 
 import numpy as np
 from mpmath import mp, mpf
 from scipy.optimize import minimize
+
+from superosc.signals import cosine_basis
 
 
 def basis_value(i, t):
@@ -43,6 +46,28 @@ def quad_energy(signal, dps=40):
             mp.quad(f, [-mp.pi + i * step, -mp.pi + (i + 1) * step])
             for i in range(panels)
         )
+
+
+def grid_crossings(signal, domain, grid_points):
+    """Sign changes over every sample of zero_crossings' grid, brute force.
+
+    The same grid, digits and cosine kernel as the package, so the two
+    counts agree sample for sample, rounding included; zero samples are
+    skipped, which counts a sign change across them once.
+    """
+    scale = max(abs(c) for c in signal.coeffs)
+    dps = 25 + (max(0, int(mp.ceil(mp.log10(scale)))) if scale else 0)
+    changes = 0
+    for lo, hi in domain.intervals:
+        count = max(2, int(round(grid_points * float((hi - lo) / domain.measure))))
+        with mp.workdps(dps):
+            lo = mpf(lo) * 1
+            step = (mpf(hi) * 1 - lo) / (count - 1)
+            values = [mp.fdot(signal.coeffs, cosine_basis(signal.band_limit, lo + k * step))
+                      for k in range(count)]
+        signs = [v > 0 for v in values if v != 0]
+        changes += sum(a != b for a, b in zip(signs, signs[1:]))
+    return changes
 
 
 def min_norm_interpolant(cm_entries, values, dps=60):

@@ -1,8 +1,14 @@
 """Tests for yields, crossing counts, and sweeps."""
 
+import pathlib
+import re
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import superosc
 from superosc import (
     Context,
     Domain,
@@ -15,7 +21,10 @@ from superosc import (
     yield_of,
     zero_crossings,
 )
-from superosc.analysis import count_sign_changes
+from superosc import analysis
+from superosc.analysis import _gauss_legendre, _node_count, count_sign_changes
+
+from oracles import grid_crossings
 
 CTX = Context(15)
 CTX30 = Context(30)
@@ -83,6 +92,66 @@ class TestYield:
             yield_of(sig, domain, other, CTX)
 
 
+class TestQuadratureRules:
+    def test_node_count_grows_with_bandwidth_length_and_digits(self):
+        for digits in (30, 60, 130):
+            counts = [_node_count(n, length, digits)
+                      for n, length in ((2, 0.5), (10, 0.5), (10, 2), (20, 2), (20, 6.28))]
+            assert counts == sorted(set(counts)), counts
+        counts = [_node_count(10, 1, digits) for digits in (30, 60, 130)]
+        assert counts == sorted(set(counts)), counts
+
+    @pytest.mark.parametrize("count", [6, 7])
+    def test_rule_exact_up_to_degree_2n_minus_1(self, count):
+        with mp.workdps(50):
+            rule = _gauss_legendre(count, mp.prec)
+            assert len(rule) == count
+            for degree in range(2 * count + 1):
+                got = mp.fsum(w * x ** degree for x, w in rule)
+                exact = mpf(2) / (degree + 1) if degree % 2 == 0 else 0
+                if degree < 2 * count:
+                    assert abs(got - exact) < mpf(10) ** -45, degree
+                else:
+                    assert abs(got - exact) > mpf(10) ** -10, degree
+
+    def test_routes_agree_on_benchmark_configuration(self):
+        # The benchmark's spectrum report: N=10, M=9 on the annulus (0.5, 1)
+        # at 100 digits.  The node count sits near the least that holds the
+        # routes together: half of it misses by far more than 10^(3-digits).
+        ctx = Context(100)
+        domain = symmetrize_domain("0.5", 1)
+        result = design_spectrum(10, 9, domain, ctx)
+        checked = 0
+        for lam, sig in zip(result.spectrum.eigenvalues, result.spectrum.signals):
+            if lam > ctx.trust_floor:
+                report = yield_of(sig, domain, result.delta, ctx)
+                assert abs(report.algebraic - report.quadrature) < mpf(10) ** (3 - ctx.digits)
+                checked += 1
+        assert checked == 3
+
+    def test_no_adaptive_quadrature_in_package(self):
+        # the yields use fixed rules; adaptive quadrature stays a test oracle
+        package = pathlib.Path(superosc.__file__).parent
+        sites = [(path.name, lineno)
+                 for path in sorted(package.glob("*.py"))
+                 for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+                 if "mp.quad" in line or re.search(r"\bquad\w*\(", line)]
+        assert sites == []
+
+
+@st.composite
+def crossing_cases(draw):
+    n = draw(st.integers(1, 12))
+    coeffs = draw(st.lists(st.one_of(st.just(0), st.floats(-10, 10)),
+                           min_size=n + 1, max_size=n + 1))
+    cuts = sorted(draw(st.lists(st.floats(-3.14, 3.14), min_size=2, max_size=4,
+                                unique=True)))
+    cuts = cuts if len(cuts) % 2 == 0 else cuts[:-1]
+    assume(min(b - a for a, b in zip(cuts, cuts[1:])) > 0.01)
+    domain = Domain(tuple(zip(cuts[::2], cuts[1::2])))
+    return FourierCosineSignal(band_limit=n, coeffs=tuple(coeffs)), domain
+
+
 class TestZeroCrossings:
     def test_pure_harmonic_crossings(self):
         # cos(5t) has zeros at odd multiples of pi/10: ten inside (-pi, pi)
@@ -122,6 +191,74 @@ class TestZeroCrossings:
         result = design_spectrum(7, 4, domain, CTX30)
         for sig in result.spectrum.signals:
             assert zero_crossings(sig, domain, 30001) % 2 == 0
+
+    @given(crossing_cases(), st.integers(1000, 5000))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_full_grid(self, case, grid_points):
+        signal, domain = case
+        assert zero_crossings(signal, domain, grid_points) == \
+            grid_crossings(signal, domain, grid_points)
+
+    @pytest.mark.parametrize("coeffs, expected", [
+        ((0, 0, 0), 0),                # every sample is exactly zero
+        ((1, -2, 0, 0), 2),            # trailing zeros: degree 1 in cos t
+        ((0, 0, 0, 1, 0, 0), 6),       # cos(3t) padded to N=5
+        ((0, 0, 0, 0, 0, 1, 1e-190), 10),  # a leading term sampling cannot see
+    ])
+    def test_degenerate_series(self, coeffs, expected):
+        signal = FourierCosineSignal(band_limit=len(coeffs) - 1, coeffs=coeffs)
+        domain = Domain(((-mp.pi, mp.pi),))
+        assert zero_crossings(signal, domain, 3001) == expected
+        assert grid_crossings(signal, domain, 3001) == expected
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_tangent_zero_at_x_plus_minus_one(self, sign):
+        # 1 - cos t touches zero at t = 0 (x = 1), 1 + cos t at t = +-pi
+        # (x = -1), the end samples of (-pi, pi).  The samples there are
+        # rounding noise, which the grid reads as two sign changes on some
+        # grids; the root-located count must read the same.
+        with CTX.workprec():
+            signal = FourierCosineSignal(
+                band_limit=1, coeffs=(mp.sqrt(2 * mp.pi), -sign * mp.sqrt(mp.pi)))
+        domain = Domain(((-mp.pi, mp.pi),))
+        for grid_points in (1000, 1001, 4097):
+            assert zero_crossings(signal, domain, grid_points) == \
+                grid_crossings(signal, domain, grid_points)
+
+    def test_exact_zero_sample_at_tangent(self):
+        # f = (cos t - cos 2t)/sqrt(pi) is exactly 0 at t = 0, which is a grid
+        # sample of (-1, 1) with 1025 points (step 2^-9) and the first sample
+        # of (0, 3); its other root cos t = -1/2 lies at 2pi/3
+        signal = FourierCosineSignal(band_limit=2, coeffs=(0, 1, -1))
+        for domain, expected in (((-1, 1),), 0), (((0, 3),), 1), (((-3, 0),), 1):
+            domain = Domain(domain)
+            assert zero_crossings(signal, domain, 1025) == expected
+            assert grid_crossings(signal, domain, 1025) == expected
+
+    def test_root_within_one_cell_of_interval_end(self):
+        # cos t changes sign at pi/2; grid steps here are about 1e-3
+        with CTX.workprec():
+            signal = harmonic_signal(1, 1, mp.sqrt(mp.pi))
+            near = mpf("5e-4")
+            cases = [((mpf("0.5"), mp.pi / 2 + near), 1),
+                     ((mpf("0.5"), mp.pi / 2 - near), 0),
+                     ((mp.pi / 2 - near, mpf("1.6")), 1),
+                     ((mp.pi / 2 + near, mpf("1.6")), 0)]
+        for (lo, hi), expected in cases:
+            domain = Domain(((lo, hi),))
+            assert zero_crossings(signal, domain, 1000) == expected, (lo, hi)
+            assert grid_crossings(signal, domain, 1000) == expected, (lo, hi)
+
+    def test_evaluates_only_samples_next_to_roots(self, monkeypatch):
+        # a 400 000-point grid over ten roots costs tens of evaluations
+        calls = []
+        kernel = analysis.cosine_basis
+        monkeypatch.setattr(analysis, "cosine_basis",
+                            lambda n, t: calls.append(t) or kernel(n, t))
+        with CTX.workprec():
+            signal = harmonic_signal(5, 5, mp.sqrt(mp.pi))
+        assert zero_crossings(signal, Domain(((-mp.pi, mp.pi),)), 400000) == 10
+        assert len(calls) <= 2 + 4 * 10
 
     def test_small_grid_rejected(self):
         sig = harmonic_signal(2, 1, mpf(1))

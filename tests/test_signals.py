@@ -163,6 +163,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             FourierCosineSignal(band_limit=0, coeffs=(1,))
 
+    def test_complex_rejected(self):
+        with pytest.raises(ValueError):
+            FourierCosineSignal(band_limit=1, coeffs=(1, 1j))
+
+    def test_coefficients_keep_their_precision_outside_workprec(self):
+        with mp.workdps(100):
+            third = mpf(1) / 3
+        signal = make_signal([third, 1])
+        assert signal.coeffs[0] == third
+        with mp.workdps(100):
+            assert signal.coeffs[0] == mpf(1) / 3
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             FourierCosineSignal(band_limit=1, coeffs=(1, math.inf))
