@@ -21,7 +21,7 @@ from mpmath import mp, mpf
 from .context import FAST, Context
 from .design import design_spectrum
 from .domains import Domain, OverlapMatrix, overlap_matrix, symmetrize_domain
-from .errors import SolverFailure
+from .errors import RankDeficientConstraints, SolverFailure
 from .signals import FourierCosineSignal, cosine_basis, energy_per_period
 
 GRID_DENSITY = 10 ** 5  # crossing-count samples per unit length
@@ -241,7 +241,7 @@ def _sweep(n, configs, ctx, seed):
     for key, a, m in configs:
         try:
             result = design_spectrum(n, m, symmetrize_domain(0, a), ctx, seed=seed)
-        except SolverFailure as exc:
+        except (SolverFailure, RankDeficientConstraints) as exc:
             errors[key] = str(exc)
             continue
         with ctx.workprec():

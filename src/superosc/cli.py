@@ -8,7 +8,7 @@ Subcommands
 
 Numbers are serialized as decimal strings at full context precision so
 values far below double precision survive JSON consumers.  Documents are
-deterministic: the same configuration and seed produce byte-identical
+deterministic: the same configuration produces byte-identical
 output (timing goes to stderr, never into the document).
 
 Exit codes: 0 success, 2 invalid input, 3 solver failure.
@@ -73,7 +73,7 @@ def _common_flags(p):
                    help="significant decimal digits (default 15)")
     p.add_argument("--method", choices=METHODS + ("both",), default="secular")
     p.add_argument("--seed", type=int, default=0,
-                   help="completion seed (recorded in the document)")
+                   help="accepted and echoed; no number depends on it")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--samples", type=int, default=0,
                    help="points per exported sample series (0 disables)")

@@ -4,12 +4,11 @@ Constraints pin the signal to prescribed values at given points.  The
 standard construction for forcing fast oscillation places M equally spaced
 points on a subinterval with alternating +-1 targets.  The frame machinery
 rotates coefficient space so the last M coordinates are fixed by the
-constraints and the remaining N+1-M are free: an orthonormal basis of the
-constraint row space is completed by a seeded-random orthonormal
-complement.
+constraints and the remaining N+1-M are free: one full Householder QR of
+the transposed constraint matrix gives orthonormal bases of the constraint
+row space and of its null space (the null-space method).
 """
 
-import random
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -83,35 +82,46 @@ def constraint_matrix(cs: ConstraintSet, n: int, ctx: Context = FAST) -> Constra
         return ConstraintMatrix(n=n, entries=entries, points=cs.points)
 
 
-def _orthonormalize(vectors, against=(), r_out=None, drop_below=None):
-    """Two-pass modified Gram-Schmidt of column vectors.
+def _check_targets(cm: ConstraintMatrix, values):
+    if len(values) != cm.m:
+        raise ValueError("%d target values for %d constraint rows" % (len(values), cm.m))
 
-    Orthogonalizes each vector against `against` and the previously accepted
-    ones.  With drop_below set, a vector whose remaining norm falls under
-    drop_below * original-norm is dropped (its index is reported); otherwise
-    a tiny remainder raises.  Returns (basis, dropped_indices).
-    """
-    basis = []
-    dropped = []
-    for j, v in enumerate(vectors):
-        w = v.copy()
-        orig = mp.sqrt((v.T * v)[0])
+
+def _dependent_rows(rows, tol):
+    """Indices of the rows within relative tol of the span of the kept rows before them."""
+    basis, dropped = [], []
+    for j, v in enumerate(rows):
+        w = v
         for _ in range(2):
-            for u in against:
+            for u in basis:
                 w = w - u * (u.T * w)[0]
-            for i, u in enumerate(basis):
-                c = (u.T * w)[0]
-                if r_out is not None:
-                    r_out[i, j] += c
-                w = w - u * c
-        nrm = mp.sqrt((w.T * w)[0])
-        if drop_below is not None and nrm <= drop_below * orig:
+        nrm = mp.norm(w)
+        if nrm <= tol * mp.norm(v):
             dropped.append(j)
-            continue
-        if r_out is not None:
-            r_out[len(basis), j] = nrm
-        basis.append(w / nrm)
-    return basis, dropped
+        else:
+            basis.append(w / nrm)
+    return dropped
+
+
+def _row_space_qr(cm: ConstraintMatrix, values, rank_tol):
+    """Q of the full QR C^T = Q R with R's diagonal positive, and mu~.
+
+    Q's leading M columns are the Gram-Schmidt basis of the rows in order
+    and the rest span their null space.  C = R^T Q^T, so C A = mu fixes the
+    row-space coordinates of A to the solution mu~ of R^T mu~ = mu.
+    """
+    q, r = mp.qr(cm.entries.T, mode="full")
+    dependent = [j for j in range(cm.m) if abs(r[j, j]) <= rank_tol * mp.norm(cm.row(j))]
+    if dependent:
+        raise RankDeficientConstraints(
+            "constraint rows %s are linearly dependent; run reduce_rank first"
+            % (dependent,)
+        )
+    mu_tilde = mp.lu_solve(r[0:cm.m, 0:cm.m].T, mp.matrix(list(values)))
+    for j in range(cm.m):
+        if r[j, j] < 0:
+            q[:, j], mu_tilde[j] = -q[:, j], -mu_tilde[j]
+    return q, mu_tilde
 
 
 def reduce_rank(cm: ConstraintMatrix, values, tol, ctx: Context = FAST):
@@ -126,55 +136,25 @@ def reduce_rank(cm: ConstraintMatrix, values, tol, ctx: Context = FAST):
     tol = mpf(tol)
     if not tol > 0:
         raise ValueError("tolerance must be positive")
+    _check_targets(cm, values)
     with ctx.workprec():
-        rows = [cm.row(j) for j in range(cm.m)]
-        basis, dropped = _orthonormalize(rows, drop_below=tol)
+        dropped = _dependent_rows([cm.row(j) for j in range(cm.m)], tol)
         if not dropped:
             return cm, tuple(mpf(v) for v in values)
         kept = [j for j in range(cm.m) if j not in dropped]
-        kept_entries = mp.zeros(len(kept), cm.n + 1)
-        for i, j in enumerate(kept):
-            for k in range(cm.n + 1):
-                kept_entries[i, k] = cm.entries[j, k]
-        kept_cm = ConstraintMatrix(
-            n=cm.n, entries=kept_entries, points=tuple(cm.points[j] for j in kept)
-        )
+        kept_cm = ConstraintMatrix(n=cm.n, entries=mp.matrix([list(cm.row(j)) for j in kept]),
+                                   points=tuple(cm.points[j] for j in kept))
         kept_values = tuple(mpf(values[j]) for j in kept)
-        basis, mu_tilde = _constraint_basis_and_mu_tilde(kept_cm, kept_values, tol)
-        particular = sum((u * c for u, c in zip(basis, mu_tilde)), mp.zeros(cm.n + 1, 1))
+        q, mu_tilde = _row_space_qr(kept_cm, kept_values, tol)
+        particular = q[:, 0:len(kept)] * mu_tilde
         for j in dropped:
-            predicted = (cm.row(j).T * particular)[0]
-            if abs(predicted - mpf(values[j])) >= tol:
+            residual = abs((cm.row(j).T * particular)[0] - mpf(values[j]))
+            if residual >= tol:
                 raise InfeasibleConstraints(
                     "constraint %d is dependent but contradicts the others "
-                    "(residual %s)" % (j, mp.nstr(abs(predicted - mpf(values[j])), 5))
+                    "(residual %s)" % (j, mp.nstr(residual, 5))
                 )
         return kept_cm, kept_values
-
-
-def _constraint_basis_and_mu_tilde(cm: ConstraintMatrix, values, rank_tol):
-    """Orthonormal basis of the constraint row space plus fixed coordinates.
-
-    The triangular factor of the Gram-Schmidt pass expresses the rows in
-    the orthonormal basis, so the fixed coordinates solve a triangular
-    system instead of a squared-up Gram system.
-    """
-    rows = [cm.row(j) for j in range(cm.m)]
-    r = mp.zeros(cm.m, cm.m)
-    basis, dropped = _orthonormalize(rows, r_out=r, drop_below=rank_tol)
-    if dropped:
-        raise RankDeficientConstraints(
-            "constraint rows %s are linearly dependent; run reduce_rank first"
-            % (dropped,)
-        )
-    # rows stack to R^T * basis^T, so C A = mu becomes R^T mu_tilde = mu.
-    mu_tilde = mp.zeros(cm.m, 1)
-    for j in range(cm.m):
-        acc = mpf(values[j])
-        for i in range(j):
-            acc -= r[i, j] * mu_tilde[i]
-        mu_tilde[j] = acc / r[j, j]
-    return basis, mu_tilde
 
 
 @dataclass(frozen=True)
@@ -182,9 +162,10 @@ class RotatedFrame:
     """Orthogonal rotation splitting coefficients into free and fixed parts.
 
     The rows of `rotation` are the new basis: the first free_dim rows span
-    the unconstrained directions (seeded-random completion), the last M rows
-    span the constraint row space.  A coefficient vector A maps to
-    B = rotation*A whose trailing M entries must equal mu_tilde.
+    the unconstrained directions (the null space of the constraint matrix),
+    the last M rows span the constraint row space.  A coefficient vector A
+    maps to B = rotation*A whose trailing M entries must equal mu_tilde.
+    completion_seed is only recorded: no entry depends on it.
     """
 
     rotation: object  # (N+1)x(N+1) mp.matrix
@@ -219,36 +200,23 @@ class RotatedFrame:
 def orthonormal_frame(
     cm: ConstraintMatrix, values, completion_seed: int = 0, ctx: Context = FAST
 ) -> RotatedFrame:
-    """Build the constraint-adapted orthonormal frame.
+    """Build the constraint-adapted orthonormal frame from one QR of C^T.
 
-    The free-space completion is drawn from a seeded RNG and orthonormalized
-    against the constraint space; the seed is recorded so runs reproduce
-    exactly.  Physics downstream must not depend on the completion, which
-    the test suite checks by comparing seeds.
+    The rotation's rows are the null-space columns of Q followed by the
+    row-space ones.  The frame is fully determined by the constraints;
+    completion_seed is accepted and recorded but no number depends on it.
     """
     if cm.m > cm.n + 1:
         raise ValueError("no solution for M>N+1")
+    _check_targets(cm, values)
     with ctx.workprec():
-        basis, mu_tilde = _constraint_basis_and_mu_tilde(cm, values, ctx.rank_tolerance)
-        free_dim = cm.n + 1 - cm.m
-        rng = random.Random(completion_seed)
-        free = []
-        while len(free) < free_dim:
-            candidate = mp.matrix([mpf(rng.uniform(-1, 1)) for _ in range(cm.n + 1)])
-            extra, dropped = _orthonormalize([candidate], against=basis + free,
-                                             drop_below=mpf("0.01"))
-            if not dropped:
-                free.extend(extra)
-        rotation = mp.zeros(cm.n + 1, cm.n + 1)
-        for i, u in enumerate(free + basis):
-            for k in range(cm.n + 1):
-                rotation[i, k] = u[k]
+        q, mu_tilde = _row_space_qr(cm, values, ctx.rank_tolerance)
+        order = list(range(cm.m, cm.n + 1)) + list(range(cm.m))
         return RotatedFrame(
-            rotation=rotation,
-            free_dim=free_dim,
+            rotation=mp.matrix([list(q[:, i]) for i in order]),
+            free_dim=cm.n + 1 - cm.m,
             mu_tilde=mu_tilde,
             completion_seed=completion_seed,
             points=tuple(cm.points),
             values=tuple(mpf(v) for v in values),
         )
-

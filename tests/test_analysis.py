@@ -316,3 +316,11 @@ class TestMonotonicityTable:
     def test_m_above_limit_rejected(self):
         with pytest.raises(ValueError):
             monotonicity_table(5, 1, [7], CTX30)
+
+    def test_refused_configurations_are_recorded(self):
+        # at 15 digits M=3 fails in the solver and M=6 has rank-deficient
+        # constraint rows; both are reported per key instead of aborting
+        table = monotonicity_table(10, "0.015625", [3, 6], CTX)
+        assert not table.rows
+        assert sorted(table.errors) == [3, 6]
+        assert "linearly dependent" in table.errors[6]

@@ -196,6 +196,12 @@ class TestSweep:
         assert doc["grid"]["kind"] == "constraint_count"
         assert {r["key"] for r in doc["rows"]} == {2, 3}
 
+    def test_refused_counts_listed_under_errors(self, tmp_path):
+        code, text = run_cli(tmp_path, "sweep", "-n", "10", "-m", "1",
+                             "--interval", "0.015625", "--m-values", "3,6")
+        assert code == 0
+        assert set(parse_document(text)["errors"]) == {"3", "6"}
+
     def test_needs_exactly_one_grid(self, tmp_path):
         code, _ = run_cli(tmp_path, "sweep", "-n", "5", "-m", "3")
         assert code == 2

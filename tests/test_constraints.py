@@ -131,6 +131,12 @@ class TestReduceRank:
         assert reduced.points == points
         assert kept_values == (1, -1, -1)
 
+    @pytest.mark.parametrize("values", [(1, -1, 1, 7), (1, -1)])
+    def test_target_count_must_match_rows(self, values):
+        cm = constraint_matrix(alternating_constraints(0, 1, 3), 5, CTX)
+        with pytest.raises(ValueError, match="3 constraint rows"):
+            reduce_rank(cm, values, mpf("1e-10"), CTX)
+
     def test_nonpositive_tolerance_rejected(self):
         cs = alternating_constraints(0, 1, 2)
         cm = constraint_matrix(cs, 4, CTX)
@@ -210,3 +216,33 @@ class TestFrame:
         cm = constraint_matrix(cs, 5, CTX)  # M=7 > N+1
         with pytest.raises(ValueError, match="no solution"):
             orthonormal_frame(cm, cs.values, completion_seed=0, ctx=CTX)
+
+    @pytest.mark.parametrize("values", [(1, -1, 1, 7), (1, -1)])
+    def test_target_count_must_match_rows(self, values):
+        cm = constraint_matrix(alternating_constraints(0, 1, 3), 5, CTX)
+        with pytest.raises(ValueError, match="3 constraint rows"):
+            orthonormal_frame(cm, values, completion_seed=0, ctx=CTX)
+
+    def test_seed_does_not_change_frame(self):
+        cs = alternating_constraints(0, "1.2", 4)
+        cm = constraint_matrix(cs, 9, CTX)
+        one = orthonormal_frame(cm, cs.values, completion_seed=1, ctx=CTX)
+        other = orthonormal_frame(cm, cs.values, completion_seed=20260808, ctx=CTX)
+        assert one.rotation == other.rotation
+        assert one.mu_tilde == other.mu_tilde
+        assert (one.completion_seed, other.completion_seed) == (1, 20260808)
+
+    def test_row_space_rows_are_gram_schmidt_of_constraints(self):
+        # the trailing rotation rows are the rows of C orthonormalized in
+        # order: each has a positive inner product with its own row and is
+        # orthogonal to the earlier ones; the leading rows are orthogonal to all
+        cs = alternating_constraints(0, 1, 4)
+        cm = constraint_matrix(cs, 8, CTX)
+        frame = orthonormal_frame(cm, cs.values, completion_seed=0, ctx=CTX)
+        with CTX.workprec():
+            inner = frame.rotation * cm.entries.T
+        for i in range(frame.free_dim):
+            assert all(abs(inner[i, j]) < 1e-13 for j in range(4))
+        for i in range(4):
+            assert inner[frame.free_dim + i, i] > 0
+            assert all(abs(inner[frame.free_dim + i, j]) < 1e-13 for j in range(i))

@@ -12,6 +12,7 @@ from superosc import (
     Context,
     Domain,
     PrecisionWarning,
+    RankDeficientConstraints,
     RotatedFrame,
     alternating_constraints,
     constraint_matrix,
@@ -189,6 +190,42 @@ class TestSecularSpectrum:
         _, _, frame, _, blocks = build_problem(10, 6, domain, CTX)
         with pytest.warns(PrecisionWarning):
             secular_spectrum(blocks, frame, CTX)
+
+
+class TestFreeBasisInvariance:
+    def test_rotating_the_null_space_basis_changes_nothing(self):
+        # replace Q_f by Q_f U for a random orthogonal U: the spectrum and
+        # the signals depend only on the null space, not on its basis
+        domain = symmetrize_domain(0, 1)
+        _, _, frame, delta, blocks = build_problem(9, 4, domain, CTX30)
+        spec = secular_spectrum(blocks, frame, CTX30)
+        f = frame.free_dim
+        rng = random.Random(7)
+        with CTX30.workprec():
+            u, _ = mp.qr(mp.matrix([[rng.uniform(-1, 1) for _ in range(f)]
+                                    for _ in range(f)]))
+            rotation = frame.rotation.copy()
+            rotation[0:f, :] = u.T * frame.rotation[0:f, :]
+        turned = RotatedFrame(rotation=rotation, free_dim=f,
+                              mu_tilde=frame.mu_tilde, completion_seed=1,
+                              points=frame.points, values=frame.values)
+        other = secular_spectrum(rotate_and_partition(delta, turned, CTX30),
+                                 turned, CTX30)
+        assert len(other) == len(spec) == 7
+        for a, b in zip(spec.eigenvalues, other.eigenvalues):
+            assert abs(a - b) / a < 1e-24
+        for s1, s2 in zip(spec.signals, other.signals):
+            scale = max(abs(c) for c in s1.coeffs)
+            assert max(abs(x - y) for x, y in zip(s1.coeffs, s2.coeffs)) < 1e-20 * scale
+
+
+class TestRankTest:
+    def test_dependent_cell_refused_at_15_digits_solved_at_100(self):
+        domain = symmetrize_domain(0, "0.015625")
+        with pytest.raises(RankDeficientConstraints):
+            design_spectrum(10, 6, domain, Context(15))
+        result = design_spectrum(10, 6, domain, Context(100))
+        assert len(result.spectrum) == 6
 
 
 class TestBorderedMatchesSecular:
