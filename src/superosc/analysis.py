@@ -1,15 +1,16 @@
 """Yields, oscillation counts, and parameter sweeps.
 
 Yields are computed twice on purpose: algebraically from the overlap
-quadratic form (closed-form antiderivatives in domains.py) and by fixed
+quadratic form (the cosine-moment overlap matrix of domains.py) and by fixed
 rules on the squared signal: Gauss-Legendre on each domain interval, with a
 node count derived from an error bound, and the trapezoid rule on 2N+1
-nodes for the period, exact for f^2.  The rule route shares no code with
-overlap_matrix, only the cosine kernel (signals.cosine_basis), so their
-agreement is a real consistency check.  Oscillations are strict sign changes
-on a uniform grid (default density 1e5 points per unit length), a sample
-exactly on a zero counted once.  Only the samples next to a root of the
-signal are evaluated, since the sign cannot change between them.
+nodes for the period, exact for f^2.  The rule route evaluates the signal
+through the cosine kernel (signals.cosine_basis) and shares only the basis
+normalizers with overlap_matrix, so their agreement is a real consistency
+check.  Oscillations are strict sign changes on a uniform grid (default
+density 1e5 points per unit length), a sample exactly on a zero counted
+once.  Only the samples next to a root of the signal are evaluated, since
+the sign cannot change between them.
 """
 
 import functools

@@ -114,8 +114,9 @@ def _row_space_qr(cm: ConstraintMatrix, values, rank_tol):
     dependent = [j for j in range(cm.m) if abs(r[j, j]) <= rank_tol * mp.norm(cm.row(j))]
     if dependent:
         raise RankDeficientConstraints(
-            "constraint rows %s are linearly dependent; run reduce_rank first"
-            % (dependent,)
+            "constraint rows %s are linearly dependent at relative tolerance %s; "
+            "raise the precision to separate nearly dependent rows, or drop "
+            "truly redundant ones with reduce_rank" % (dependent, mp.nstr(rank_tol, 3))
         )
     mu_tilde = mp.lu_solve(r[0:cm.m, 0:cm.m].T, mp.matrix(list(values)))
     for j in range(cm.m):

@@ -3,7 +3,7 @@
 A domain is an ordered union of disjoint open subintervals of (-pi, pi).
 The overlap matrix of band limit N over a domain D collects the inner
 products of the N+1 orthonormal cosine basis functions restricted to D; it
-is built from closed-form antiderivatives of cos(m*t)*cos(n*t), never from
+is built in closed form from the domain's 2N+1 cosine moments, never from
 quadrature (quadrature is kept as an independent test oracle).
 """
 
@@ -13,6 +13,7 @@ from mpmath import mp, mpf
 
 from .context import FAST, Context
 from .errors import DomainError
+from .signals import _normalizers
 
 # Intervals whose endpoints differ by less than this are merged on
 # construction so downstream code sees one canonical form.
@@ -105,41 +106,26 @@ class OverlapMatrix:
         return self.entries[idx]
 
 
-def _antiderivative(m, k, t):
-    # antiderivative of cos(m t) cos(k t); prefactors handled by the caller
-    if m == 0 and k == 0:
-        return t
-    if m == 0:
-        return mp.sin(k * t) / k
-    if k == 0:
-        return mp.sin(m * t) / m
-    if m == k:
-        return t / 2 + mp.sin(2 * m * t) / (4 * m)
-    return mp.sin((m - k) * t) / (2 * (m - k)) + mp.sin((m + k) * t) / (2 * (m + k))
-
-
-def _prefactor(m, k):
-    if m == 0 and k == 0:
-        return 1 / (2 * mp.pi)
-    if m == 0 or k == 0:
-        return 1 / (mp.sqrt(2) * mp.pi)
-    return 1 / mp.pi
-
-
 def overlap_matrix(domain: Domain, n: int, ctx: Context = FAST) -> OverlapMatrix:
-    """Overlap matrix of band limit n over the domain, in closed form."""
+    """Overlap matrix of band limit n over the domain, from its cosine moments.
+
+    cos(mt)cos(kt) = (cos((m-k)t) + cos((m+k)t))/2, so with the moments
+    I_j = int_D cos(jt) dt the entries are c_m c_k (I_|m-k| + I_m+k)/2, a
+    Toeplitz-plus-Hankel matrix of I_0, ..., I_2n; c_m are the basis
+    normalizers of signals.cosine_basis.
+    """
     if n < 1:
         raise ValueError("band limit must be >= 1")
     with ctx.workprec():
         ivals = [(ctx.real(lo), ctx.real(hi)) for lo, hi in domain.intervals]
+        moments = [mp.fsum(hi - lo for lo, hi in ivals)]
+        moments += [mp.fsum(mp.sin(j * hi) - mp.sin(j * lo) for lo, hi in ivals) / j
+                    for j in range(1, 2 * n + 1)]
+        inv_sqrt_2pi, inv_sqrt_pi = _normalizers(mp.prec)
+        scale = [inv_sqrt_2pi] + [inv_sqrt_pi] * n
         entries = mp.zeros(n + 1, n + 1)
         for m in range(n + 1):
             for k in range(m, n + 1):
-                acc = mp.fsum(
-                    _antiderivative(m, k, hi) - _antiderivative(m, k, lo)
-                    for lo, hi in ivals
-                )
-                val = _prefactor(m, k) * acc
-                entries[m, k] = val
-                entries[k, m] = val
+                entries[m, k] = entries[k, m] = \
+                    scale[m] * scale[k] * (moments[k - m] + moments[m + k]) / 2
         return OverlapMatrix(n=n, entries=entries, domain=domain)

@@ -16,7 +16,8 @@ class InfeasibleConstraints(SuperoscError):
 class RankDeficientConstraints(SuperoscError):
     """Raised when frame construction meets linearly dependent constraint rows.
 
-    Callers should run rank reduction first and retry.
+    Rows only nearly dependent at the context's rank tolerance separate at
+    higher precision; truly redundant rows are dropped by reduce_rank.
     """
 
 

@@ -109,7 +109,7 @@ def _reconstruct(y, z, coupling, blocks, frame, ctx):
         z_free = z[0:f]
         system += z_free * z_free.T
     try:
-        free_part = mp.lu_solve(system, -g)
+        free_part = mp.lu_solve(system, -g) if f else mp.zeros(0, 1)
     except ZeroDivisionError as exc:
         raise SolverFailure(
             "stationarity system is singular at eigenvalue %s; coincident "
@@ -125,25 +125,6 @@ def _reconstruct(y, z, coupling, blocks, frame, ctx):
     secular = mpf(0) if deflated else \
         abs(q_fixed - y * norm_sq + (g.T * free_part)[0])
     return free_part, signal, residual, secular, deflated
-
-
-def _degenerate_single(blocks, frame, method, ctx):
-    """M = N+1: the interpolant is unique, its yield is the one eigenvalue."""
-    _, q_fixed, norm_sq = _coupling(blocks, frame)
-    coeffs = frame.particular_solution()
-    signal = FourierCosineSignal(band_limit=frame.n, coeffs=tuple(coeffs))
-    return GeneralizedSpectrum(
-        eigenvalues=(q_fixed / norm_sq,),
-        signals=(signal,),
-        free_parts=(mp.zeros(0, 1),),
-        diagnostics={
-            "method": method,
-            "completion_seed": frame.completion_seed,
-            "secular_residuals": (mpf(0),),
-            "stationarity_residuals": (mpf(0),),
-            "deflated": (False,),
-        },
-    )
 
 
 def _finalize(roots, vectors, coupling, blocks, frame, method, ctx):
@@ -211,8 +192,6 @@ def secular_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
         coupling = g, q_fixed, norm_sq = _coupling(blocks, frame)
         if norm_sq == 0:
             raise ValueError("constraint targets are all zero")
-        if frame.free_dim == 0:
-            return _degenerate_single(blocks, frame, "secular", ctx)
         f = blocks.free_dim
         norm = mp.sqrt(norm_sq)
         bordered = mp.zeros(f + 1, f + 1)
@@ -240,8 +219,6 @@ def polynomial_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
         norm_sq = (frame.mu_tilde.T * frame.mu_tilde)[0]
         if norm_sq == 0:
             raise ValueError("constraint targets are all zero")
-        if frame.free_dim == 0:
-            return _degenerate_single(blocks, frame, "polynomial", ctx)
     with mp.workdps(2 * ctx.work_dps):
         f = blocks.free_dim
         char, adj_terms = _faddeev_leverrier(blocks.delta_free, f)
@@ -279,6 +256,8 @@ def _faddeev_leverrier(matrix, n):
     Returns (char, terms): char[i] is the Y^i coefficient (char[n] = 1) and
     adj(YI - A) = sum_k terms[k] * Y^(n-1-k).
     """
+    if n == 0:
+        return [mpf(1)], []
     char = [mpf(0)] * (n + 1)
     char[n] = mpf(1)
     current = mp.eye(n)

@@ -52,6 +52,20 @@ class TestDesign:
                           "--domain", "2,1")
         assert code == 2
 
+    def test_rank_deficiency_message_points_to_precision(self, tmp_path, capsys):
+        # the points are distinct; at 15 digits their rows are only nearly
+        # dependent, and 100 digits separate them
+        argv = ["design", "-n", "10", "-m", "6", "--interval", "0.015625"]
+        code, _ = run_cli(tmp_path, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "linearly dependent" in err and "[3, 4, 5]" in err
+        assert "tolerance 1.0e-10" in err
+        assert "precision" in err and "reduce_rank" in err
+        code, text = run_cli(tmp_path, *argv, "--precision", "100")
+        assert code == 0
+        assert parse_document(text)["mode"]["index"] == 6
+
     def test_saturated_constraints_single_mode(self, tmp_path):
         code, text = run_cli(tmp_path, "design", "-n", "2", "-m", "3",
                              "--interval", "1")
@@ -97,6 +111,22 @@ class TestSpectrum:
         doc = parse_document(text)
         assert len(doc["method_relative_deltas"]) == 5
         assert all(mpf(d) < mpf("1e-6") for d in doc["method_relative_deltas"])
+
+    def test_both_methods_solve_once(self, tmp_path, monkeypatch):
+        calls = []
+        design = cli.design_spectrum
+
+        def counting_design(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return design(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "design_spectrum", counting_design)
+        code, text = run_cli(tmp_path, "spectrum", "-n", "6", "-m", "3",
+                             "--interval", "1", "--method", "both",
+                             "--precision", "40")
+        assert code == 0
+        assert calls == ["secular"]
+        assert len(parse_document(text)["polynomial_eigenvalues"]) == 5
 
     def test_annulus_flag(self, tmp_path):
         code, text = run_cli(tmp_path, "spectrum", "-n", "5", "-m", "3",

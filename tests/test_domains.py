@@ -154,3 +154,20 @@ class TestOverlapMatrix:
         delta = overlap_matrix(Domain(((-mp.pi, mp.pi),)), 7, CTX)
         trace = sum(delta[i, i] for i in range(8))
         assert abs(trace - 8) < 1e-12
+
+    @pytest.mark.parametrize("domain, most", [
+        (symmetrize_domain(0, 1), 80),        # one interval: 2N moments, 2 sines each
+        (symmetrize_domain("0.5", 1), 160),   # two intervals
+    ])
+    def test_sine_calls_scale_with_moments_not_entries(self, monkeypatch,
+                                                       domain, most):
+        calls = []
+        sin = mp.sin
+
+        def counting_sin(x):
+            calls.append(x)
+            return sin(x)
+
+        monkeypatch.setattr(mp, "sin", counting_sin)
+        overlap_matrix(domain, 20, CTX)
+        assert 0 < len(calls) <= most

