@@ -10,7 +10,9 @@ normalizers with overlap_matrix, so their agreement is a real consistency
 check.  Oscillations are strict sign changes on a uniform grid (default
 density 1e5 points per unit length), a sample exactly on a zero counted
 once.  Only the samples next to a root of the signal are evaluated, since
-the sign cannot change between them.
+the sign cannot change between them; the roots are the eigenvalues of the
+Chebyshev colleague matrix, whose transpose is already upper Hessenberg,
+found by a real double-shift QR that computes eigenvalues only.
 """
 
 import functools
@@ -57,21 +59,25 @@ def _node_count(n, length, digits):
 def _gauss_legendre(count, prec):
     """(node, weight) pairs of the count-point Gauss-Legendre rule on [-1, 1].
 
-    Newton iteration on the Legendre recurrence at 1.5 times the precision,
-    as in mpmath's GaussLegendre, rounded to prec bits.
+    Newton iteration on the Legendre recurrence, three steps in floats and
+    then at 1.5 times the precision, as in mpmath's GaussLegendre, rounded
+    to prec bits.
     """
     rule = []
     with mp.workprec(int(prec * 1.5)):
         for j in range(1, (count + 1) // 2 + 1):
-            x = mpf(math.cos(math.pi * (j - 0.25) / (count + 0.5)) if 2 * j <= count else 0)
-            dx = 1
-            while abs(dx) > mp.ldexp(1, -prec - 8):
-                p1, p0 = mpf(1), mpf(0)
+            x = math.cos(math.pi * (j - 0.25) / (count + 0.5)) if 2 * j <= count else 0.0
+            step, dx = 0, 1
+            while step <= 3 or abs(dx) > mp.ldexp(1, -prec - 8):
+                if step == 3:
+                    x = mpf(x)
+                p1, p0 = 1, 0
                 for k in range(1, count + 1):
                     p1, p0 = ((2 * k - 1) * x * p1 - (k - 1) * p0) / k, p1
                 slope = count * (x * p1 - p0) / (x * x - 1)
                 dx = p1 / slope
                 x -= dx
+                step += 1
             weight = 2 / ((1 - x * x) * slope ** 2)
             rule += [(x, weight), (-x, weight)] if x else [(x, weight)]
     with mp.workprec(prec):
@@ -166,11 +172,12 @@ def _root_angles(signal, dps):
 
     p = sum a_k T_k with a_0 = A_0/sqrt(2), a_k = A_k (up to 1/sqrt(pi)); its
     roots are the eigenvalues of the colleague matrix (Boyd, SIAM Rev. 55,
-    2013), whose rows are x T_0 = T_1, x T_k = (T_{k-1} + T_{k+1})/2.  Found
-    20 digits above the sampling digits dps, after dropping leading terms
-    below 10^-dps of the largest, which sampling cannot see and which would
-    blow up the matrix.  Every root is kept, real or not: a spurious one
-    costs four samples.
+    2013), whose rows are x T_0 = T_1, x T_k = (T_{k-1} + T_{k+1})/2; its
+    transpose is upper Hessenberg, for _hessenberg_eigenvalues.  Found 20
+    digits above the sampling digits dps, after dropping leading terms below
+    10^-dps of the largest, which sampling cannot see and which would blow
+    up the matrix.  Every root is kept, real or not: a spurious one costs
+    four samples.
     """
     with mp.workdps(dps + 20):
         a = [signal.coeffs[0] / mp.sqrt(2)] + list(signal.coeffs[1:])
@@ -178,17 +185,79 @@ def _root_angles(signal, dps):
         while len(a) > 1 and abs(a[-1]) <= floor:
             a.pop()
         n = len(a) - 1
-        if n < 2:  # mp.eig mishandles 1x1 matrices
+        if n < 2:  # n = 1: the only row is x T_0 = T_1, without the 1/2
             xs = [-a[0] / a[1]] if n else []
         else:
-            colleague = mp.zeros(n, n)
+            h = [[mpf(0)] * n for _ in range(n)]
             for i in range(n - 1):
-                colleague[i, i + 1] = colleague[i + 1, i] = mpf(1) / 2
-            colleague[0, 1] = 1
+                h[i][i + 1] = h[i + 1][i] = mpf(1) / 2
+            h[1][0] = mpf(1)
             for k in range(n):
-                colleague[n - 1, k] -= a[k] / (2 * a[n])
-            xs = mp.eig(colleague, left=False, right=False)
-        return [sign * mp.acos(min(1, max(-1, mp.re(x)))) for x in xs for sign in (1, -1)]
+                h[k][n - 1] -= a[k] / (2 * a[n])
+            xs = _hessenberg_eigenvalues(h)
+        return [sign * mp.acos(min(1, max(-1, x))) for x in xs for sign in (1, -1)]
+
+
+def _hessenberg_eigenvalues(h):
+    """Real parts of all eigenvalues of an upper Hessenberg h (rows of mpf).
+
+    Francis double-shift QR without vectors (EISPACK hqr: Martin, Peters and
+    Wilkinson, Numer. Math. 14, 1970; Golub and Van Loan, Alg. 7.5.2), real
+    and at the working precision; h is overwritten.  A complex pair gives
+    its real part twice; exceptional shifts come at sweeps 10 and 20.
+    """
+    n = len(h)
+    norm = mp.fsum(abs(x) for row in h for x in row)
+    values, shift, hi, its = [], mpf(0), n - 1, 0
+    while hi >= 0:
+        l = hi  # h splits above row l where h[l][l-1] is below rounding
+        while l and abs(h[l][l - 1]) + (s := abs(h[l - 1][l - 1]) + abs(h[l][l]) or norm) != s:
+            l -= 1
+        if l:
+            h[l][l - 1] = mpf(0)
+        x = h[hi][hi]
+        y, w = (h[hi - 1][hi - 1], h[hi][hi - 1] * h[hi - 1][hi]) if l < hi else (x, 0)
+        if l >= hi - 1:  # a 1x1 (w = 0, one value) or 2x2 block splits off
+            mean, root = (x + y) / 2 + shift, mp.sqrt(max(((y - x) / 2) ** 2 + w, 0))
+            values += [mean - root, mean + root][:hi - l + 1]
+            hi, its = l - 1, 0
+            continue
+        if its == 30:
+            raise SolverFailure("no QR convergence on the %dx%d colleague matrix" % (n, n))
+        if its in (10, 20):
+            shift += x
+            for i in range(hi + 1):
+                h[i][i] -= x
+            s = abs(h[hi][hi - 1]) + abs(h[hi - 1][hi - 2])
+            x, y, w = 3 * s / 4, 3 * s / 4, -7 * s * s / 16
+        its += 1
+        # first column of (h - s1)(h - s2) / h[l+1][l], s1 + s2 = x + y, s1 s2 = x y - w
+        z = h[l][l]
+        p = ((x - z) * (y - z) - w) / h[l + 1][l] + h[l][l + 1]
+        q, r = h[l + 1][l + 1] - x - y + z, h[l + 2][l + 1]
+        for k in range(l, hi):  # chase the bulge down with 3x3 reflectors
+            k2 = min(k + 2, hi)  # the last one is 2x2: r = 0
+            if k != l:
+                p, q, r = h[k][k - 1], h[k + 1][k - 1], h[k2][k - 1] if k2 > k + 1 else 0
+            s = (-1 if p < 0 else 1) * mp.sqrt(p * p + q * q + r * r)
+            if k != l:  # the reflector takes (p, q, r) to (-s, 0, 0)
+                h[k][k - 1], h[k + 1][k - 1], h[k2][k - 1] = -s, 0, 0
+            if not s:
+                continue
+            p += s
+            x, y, z = p / s, q / s, r / s
+            q, r = q / p, r / p
+            for j in range(k, hi + 1):
+                p = h[k][j] + q * h[k + 1][j] + r * h[k2][j]
+                h[k2][j] -= p * z
+                h[k + 1][j] -= p * y
+                h[k][j] -= p * x
+            for i in range(l, min(hi, k + 3) + 1):
+                p = x * h[i][k] + y * h[i][k + 1] + z * h[i][k2]
+                h[i][k2] -= p * r
+                h[i][k + 1] -= p * q
+                h[i][k] -= p
+    return values
 
 
 def count_sign_changes(values):

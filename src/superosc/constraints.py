@@ -186,16 +186,11 @@ class RotatedFrame:
 
     def assemble(self, free_part):
         """Coefficient vector from free coordinates plus the fixed block."""
-        full = mp.zeros(self.rotation.rows, 1)
-        for i in range(self.free_dim):
-            full[i] = free_part[i]
-        for i in range(self.m):
-            full[self.free_dim + i] = self.mu_tilde[i]
-        return self.rotation.T * full
+        return self.rotation.T * mp.matrix(list(free_part) + list(self.mu_tilde))
 
     def particular_solution(self):
         """Minimum-norm coefficient vector satisfying all constraints."""
-        return self.assemble(mp.zeros(self.free_dim, 1) if self.free_dim else ())
+        return self.assemble([0] * self.free_dim)
 
 
 def orthonormal_frame(

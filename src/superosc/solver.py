@@ -127,6 +127,13 @@ def _reconstruct(y, z, coupling, blocks, frame, ctx):
     return free_part, signal, residual, secular, deflated
 
 
+def _warn_below_floor(smallest, ctx, stacklevel):
+    if smallest < ctx.trust_floor:
+        warnings.warn("smallest eigenvalue %s is within 1e6 of the precision floor 10^-%d; "
+                      "raise the context digits to trust it" % (mp.nstr(smallest, 5), ctx.digits),
+                      PrecisionWarning, stacklevel=stacklevel)
+
+
 def _finalize(roots, vectors, coupling, blocks, frame, method, ctx):
     """Check the roots and reconstruct their signals.
 
@@ -156,14 +163,7 @@ def _finalize(roots, vectors, coupling, blocks, frame, method, ctx):
     parts = [_reconstruct(y, z, coupling, blocks, frame, ctx)
              for y, z in zip(roots, vectors or [None] * len(roots))]
     free_parts, signals, stationarity, sec_res, defl_flags = zip(*parts)
-    if roots[0] < ctx.trust_floor:
-        warnings.warn(
-            "smallest eigenvalue %s is within 1e6 of the precision floor "
-            "10^-%d; raise the context digits to trust it"
-            % (mp.nstr(roots[0], 5), ctx.digits),
-            PrecisionWarning,
-            stacklevel=3,
-        )
+    _warn_below_floor(roots[0], ctx, stacklevel=4)
     return GeneralizedSpectrum(
         eigenvalues=tuple(roots),
         signals=signals,
@@ -291,6 +291,7 @@ def slepian_modes(delta: OverlapMatrix, ctx: Context = FAST):
     pairs in descending eigenvalue order with unit-energy signals.  These
     are the discrete analogues of the prolate spheroidal wavefunctions and
     the natural baseline: no constrained signal can beat the top mode.
+    Warns (PrecisionWarning) when the smallest is below ctx.trust_floor.
     """
     with ctx.workprec():
         eigvals, eigvecs = mp.eigsy(delta.entries)
@@ -305,4 +306,5 @@ def slepian_modes(delta: OverlapMatrix, ctx: Context = FAST):
             pairs.append((eigvals[k],
                           FourierCosineSignal(band_limit=delta.n, coeffs=tuple(coeffs))))
         pairs.sort(key=lambda p: p[0], reverse=True)
-        return pairs
+    _warn_below_floor(pairs[-1][0], ctx, stacklevel=3)
+    return pairs

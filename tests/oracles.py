@@ -5,9 +5,12 @@ overlap entries come from adaptive quadrature instead of antiderivatives,
 minimum-norm interpolants from normal equations instead of the frame
 machinery, optimal yields from random-restart projected ascent instead of
 the bordered eigensolve, the secular function from an eigendecomposition
-of the free block instead of the bordered matrix, and crossing counts from
-every grid sample instead of the samples next to a root.
+of the free block instead of the bordered matrix, crossing counts from
+every grid sample instead of the samples next to a root, and Gauss-Legendre
+rules from Newton iteration in mpf alone.
 """
+
+import math
 
 import numpy as np
 from mpmath import mp, mpf
@@ -68,6 +71,31 @@ def grid_crossings(signal, domain, grid_points):
         signs = [v > 0 for v in values if v != 0]
         changes += sum(a != b for a, b in zip(signs, signs[1:]))
     return changes
+
+
+def gauss_legendre(count, prec):
+    """Gauss-Legendre (node, weight) pairs by Newton iteration in mpf only.
+
+    Newton steps from the cosine start guesses, all at 1.5 times the
+    precision, with the package's recurrence and stopping test but none of
+    its float steps.
+    """
+    rule = []
+    with mp.workprec(int(prec * 1.5)):
+        for j in range(1, (count + 1) // 2 + 1):
+            x = mpf(math.cos(math.pi * (j - 0.25) / (count + 0.5)) if 2 * j <= count else 0)
+            dx = 1
+            while abs(dx) > mp.ldexp(1, -prec - 8):
+                p1, p0 = mpf(1), mpf(0)
+                for k in range(1, count + 1):
+                    p1, p0 = ((2 * k - 1) * x * p1 - (k - 1) * p0) / k, p1
+                slope = count * (x * p1 - p0) / (x * x - 1)
+                dx = p1 / slope
+                x -= dx
+            weight = 2 / ((1 - x * x) * slope ** 2)
+            rule += [(x, weight), (-x, weight)] if x else [(x, weight)]
+    with mp.workprec(prec):
+        return tuple((+x, +w) for x, w in rule)
 
 
 def min_norm_interpolant(cm_entries, values, dps=60):

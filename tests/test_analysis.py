@@ -1,6 +1,7 @@
 """Tests for yields, crossing counts, and sweeps."""
 
 import pathlib
+import random
 import re
 
 import pytest
@@ -22,9 +23,14 @@ from superosc import (
     zero_crossings,
 )
 from superosc import analysis
-from superosc.analysis import _gauss_legendre, _node_count, count_sign_changes
+from superosc.analysis import (
+    _gauss_legendre,
+    _hessenberg_eigenvalues,
+    _node_count,
+    count_sign_changes,
+)
 
-from oracles import grid_crossings
+from oracles import gauss_legendre, grid_crossings
 
 CTX = Context(15)
 CTX30 = Context(30)
@@ -114,6 +120,11 @@ class TestQuadratureRules:
                 else:
                     assert abs(got - exact) > mpf(10) ** -10, degree
 
+    @pytest.mark.parametrize("count, prec", [(61, 462), (20, 120)])
+    def test_float_start_gives_the_mpf_only_rule(self, count, prec):
+        # (61, 462) is the first mode's rule in the benchmark's spectrum report
+        assert _gauss_legendre(count, prec) == gauss_legendre(count, prec)
+
     def test_routes_agree_on_benchmark_configuration(self):
         # The benchmark's spectrum report: N=10, M=9 on the annulus (0.5, 1)
         # at 100 digits.  The node count sits near the least that holds the
@@ -136,6 +147,77 @@ class TestQuadratureRules:
                  for path in sorted(package.glob("*.py"))
                  for lineno, line in enumerate(path.read_text().splitlines(), start=1)
                  if "mp.quad" in line or re.search(r"\bquad\w*\(", line)]
+        assert sites == []
+
+
+def colleague(a):
+    """Transposed colleague matrix of sum a_k T_k as rows of mpf."""
+    n = len(a) - 1
+    if n == 1:
+        return [[-a[0] / a[1]]]
+    h = [[mpf(0)] * n for _ in range(n)]
+    for i in range(n - 1):
+        h[i][i + 1] = h[i + 1][i] = mpf(1) / 2
+    h[1][0] = mpf(1)
+    for k in range(n):
+        h[k][n - 1] -= a[k] / (2 * a[n])
+    return h
+
+
+class TestHessenbergEigenvalues:
+    @given(st.integers(1, 20), st.integers(30, 80), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_general_eigensolver(self, degree, dps, seed):
+        # uniform random coefficients: the roots are simple with probability 1
+        rng = random.Random(seed)
+        with mp.workdps(dps):
+            h = colleague([mpf(rng.uniform(-1, 1)) for _ in range(degree + 1)])
+            scale = max(abs(x) for row in h for x in row)
+            # mp.eig wraps the eigenvalue of a 1x1 matrix in a list
+            expected = [h[0][0]] if degree == 1 else \
+                sorted(mp.re(x) for x in mp.eig(mp.matrix(h), left=False, right=False))
+            got = sorted(_hessenberg_eigenvalues([row[:] for row in h]))
+            assert len(got) == degree
+            assert max(abs(x - y) for x, y in zip(got, expected)) <= \
+                mpf(10) ** (10 - dps) * scale
+
+    def test_complex_pair(self):
+        # 2x^2 + 1 = T_2 + 2 T_0 has roots +-i/sqrt(2)
+        with mp.workdps(40):
+            assert _hessenberg_eigenvalues(colleague([mpf(2), mpf(0), mpf(1)])) == [0, 0]
+
+    def test_double_root_at_minus_one(self):
+        # (1 + cos t)^2 cos t = x (1 + x)^2 = T_0 + 7/4 T_1 + T_2 + 1/4 T_3
+        with mp.workdps(50):
+            a = [mpf(1), mpf(7) / 4, mpf(1), mpf(1) / 4]
+            got = sorted(_hessenberg_eigenvalues(colleague(a)))
+            assert abs(got[0] + 1) < mpf(10) ** -20 and abs(got[1] + 1) < mpf(10) ** -20
+            assert abs(got[2]) < mpf(10) ** -45
+
+    def test_orders_one_and_two(self):
+        with mp.workdps(30):
+            assert _hessenberg_eigenvalues([[mpf(3)]]) == [3]
+            got = sorted(_hessenberg_eigenvalues([[mpf(1), mpf(2)], [mpf(3), mpf(4)]]))
+            for x, y in zip(got, [(5 - mp.sqrt(33)) / 2, (5 + mp.sqrt(33)) / 2]):
+                assert abs(x - y) < mpf(10) ** -28
+            assert _hessenberg_eigenvalues([[mpf(0)] * 2 for _ in range(2)]) == [0, 0]
+
+    def test_cyclic_permutation_converges(self):
+        # the cube roots of unity: the QR deflates only after the exceptional
+        # shift at sweep 10
+        with mp.workdps(30):
+            h = [[mpf(0), mpf(0), mpf(1)], [mpf(1), mpf(0), mpf(0)], [mpf(0), mpf(1), mpf(0)]]
+            got = sorted(_hessenberg_eigenvalues(h))
+            for x, y in zip(got, [mpf(-1) / 2, mpf(-1) / 2, mpf(1)]):
+                assert abs(x - y) < mpf(10) ** -28
+
+    def test_no_general_eigensolver_in_package(self):
+        # roots come from the real Hessenberg QR; mp.eig stays a test oracle
+        package = pathlib.Path(superosc.__file__).parent
+        sites = [(path.name, lineno)
+                 for path in sorted(package.glob("*.py"))
+                 for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+                 if "mp.eig(" in line]
         assert sites == []
 
 

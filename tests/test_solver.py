@@ -1,6 +1,7 @@
 """Tests for the generalized spectrum solver and baselines."""
 
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -433,6 +434,18 @@ class TestBaselines:
             total = mp.fsum(lam for lam, _ in modes)
             trace = mp.fsum(delta[i, i] for i in range(9))
         assert abs(total - trace) / trace < 1e-10
+
+    def test_slepian_warns_below_trust_floor(self):
+        # N=10 on (-1, 1): the smallest Slepian eigenvalue is 7.7e-24, below
+        # the 1e-9 floor of 15 digits and far above the 1e-54 floor of 60
+        domain = symmetrize_domain(0, 1)
+        with pytest.warns(PrecisionWarning, match="smallest eigenvalue 7.72"):
+            slepian_modes(overlap_matrix(domain, 10, CTX), CTX)
+        ctx = Context(60)
+        delta = overlap_matrix(domain, 10, ctx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrecisionWarning)
+            slepian_modes(delta, ctx)
 
     def test_slepian_modes_unit_energy_descending(self):
         domain = symmetrize_domain(0, "0.7")
