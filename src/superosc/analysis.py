@@ -8,8 +8,8 @@ nodes for the period, exact for f^2.  The rule route evaluates the signal
 through the cosine kernel (signals.cosine_basis) and shares only the basis
 normalizers with overlap_matrix, so their agreement is a real consistency
 check.  Oscillations are strict sign changes on a uniform grid (default
-density 1e5 points per unit length), a sample exactly on a zero counted
-once.  Only the samples next to a root of the signal are evaluated, since
+density 1e5 points per unit length), samples within rounding of zero
+counting as zero.  Only the samples next to a root are evaluated, since
 the sign cannot change between them; the roots are the eigenvalues of the
 Chebyshev colleague matrix, whose transpose is already upper Hessenberg,
 found by a real double-shift QR that computes eigenvalues only.
@@ -137,12 +137,13 @@ def zero_crossings(signal: FourierCosineSignal, domain: Domain,
                    grid_points: int = None) -> int:
     """Strict sign changes of the signal on a uniform grid inside the domain.
 
-    Samples that land exactly on a zero are counted once: the sign change is
-    registered against the last nonzero sample.  Each interval of the domain
-    is counted separately; nothing outside the domain contributes.  Samples
-    are taken at 25 digits plus the cancellation headroom of the
-    coefficients, and only at the interval ends and in the cells around a
-    root: the full grid adds no sign change between them.
+    Samples are taken at dps = 25 digits plus the cancellation headroom of
+    the coefficients, only at the interval ends and in the cells around a
+    root (the full grid adds no sign change between them); one within the
+    rounding error of zero, 10^-dps sum |A_k|, counts as zero, so a change
+    across zero samples is registered once and a tangent zero adds none.
+    Each interval of the domain is counted separately; nothing outside the
+    domain contributes.
     """
     if grid_points is None:
         grid_points = max(1000, int(mp.ceil(domain.measure * GRID_DENSITY)))
@@ -150,6 +151,7 @@ def zero_crossings(signal: FourierCosineSignal, domain: Domain,
         raise ValueError("grid_points must be >= 1000")
     scale = max(abs(c) for c in signal.coeffs)
     dps = 25 + (max(0, int(mp.ceil(mp.log10(scale)))) if scale else 0)
+    noise = mpf(10) ** -dps * mp.fsum(abs(c) for c in signal.coeffs)
     roots = _root_angles(signal, dps)
     crossings = 0
     for lo, hi in domain.intervals:
@@ -161,9 +163,9 @@ def zero_crossings(signal: FourierCosineSignal, domain: Domain,
             for t in roots:
                 cell = int(mp.floor((t - lo) / step))
                 kept.update(k for k in range(cell - 1, cell + 3) if 0 <= k < pts)
-            crossings += count_sign_changes(
-                mp.fdot(signal.coeffs, cosine_basis(signal.band_limit, lo + k * step))
-                for k in sorted(kept))
+            values = (mp.fdot(signal.coeffs, cosine_basis(signal.band_limit, lo + k * step))
+                      for k in sorted(kept))
+            crossings += count_sign_changes(v if abs(v) > noise else 0 for v in values)
     return crossings
 
 
@@ -222,7 +224,7 @@ def _hessenberg_eigenvalues(h):
             values += [mean - root, mean + root][:hi - l + 1]
             hi, its = l - 1, 0
             continue
-        if its == 30:
+        if its == 30 * n:
             raise SolverFailure("no QR convergence on the %dx%d colleague matrix" % (n, n))
         if its in (10, 20):
             shift += x

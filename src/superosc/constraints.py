@@ -185,8 +185,8 @@ class RotatedFrame:
         return self.rotation.rows - self.free_dim
 
     def assemble(self, free_part):
-        """Coefficient vector from free coordinates plus the fixed block."""
-        return self.rotation.T * mp.matrix(list(free_part) + list(self.mu_tilde))
+        """Coefficient row vector from free coordinates plus the fixed block."""
+        return mp.matrix([list(free_part) + list(self.mu_tilde)]) * self.rotation
 
     def particular_solution(self):
         """Minimum-norm coefficient vector satisfying all constraints."""

@@ -11,12 +11,13 @@ complement of the symmetric bordered matrix
 
     K = [[Delta_free, g/||mu~||], [g^T/||mu~||, q/||mu~||^2]],
 
-so all N+2-M roots are the eigenvalues of K, taken from one symmetric
-eigensolve.  Each signal comes from solving (Delta_free - Y) x = -g for its
-free part; an eigenvector of K with a vanishing last component marks a
-free direction decoupled from the constraints (deflation).  Expanding the
-same equation into polynomial coefficients is numerically treacherous,
-which is why the expanded form is kept only as an independent cross-check.
+so all N+2-M roots and their eigenvectors z = (z_free, z_last) come from one
+symmetric eigensolve; x = z_free*||mu~||/z_last solves (Delta_free - Y) x = -g
+for the signal's free part.  A vanishing z_last marks a free direction
+decoupled from the constraints (deflation): only such a root, and the
+vectorless polynomial route, take an LU solve.  Expanding the same equation
+into polynomial coefficients is numerically treacherous, which is why the
+expanded form is kept only as an independent cross-check.
 """
 
 import warnings
@@ -85,37 +86,44 @@ def _quadratic_form(mat, vec):
 
 
 def _coupling(blocks: BlockDecomposition, frame: RotatedFrame):
-    """g = Gamma*mu~, q = mu~^T Delta_fixed mu~ and ||mu~||^2."""
+    """g = Gamma*mu~, q = mu~^T Delta_fixed mu~ and ||mu~||^2 of a matching frame."""
+    if blocks.free_dim != frame.free_dim or blocks.m != frame.m:
+        raise ValueError("block decomposition does not match the frame")
     g = blocks.gamma * frame.mu_tilde
     q_fixed = _quadratic_form(blocks.delta_fixed, frame.mu_tilde)
     norm_sq = (frame.mu_tilde.T * frame.mu_tilde)[0]
+    if norm_sq == 0:
+        raise ValueError("constraint targets are all zero")
     return g, q_fixed, norm_sq
 
 
 def _reconstruct(y, z, coupling, blocks, frame, ctx):
     """Free part, signal, residuals and deflation flag for one root y.
 
-    The free part solves (Delta_free - y) x = -g.  When y comes with a
-    bordered eigenvector z whose last component vanishes, y is an
-    eigenvalue of Delta_free whose eigenvector z_free is decoupled from g
-    (the deflated case); adding z_free z_free^T lifts that null direction
-    and leaves the minimum-norm free part, orthogonal to z_free.
+    The free part solves (Delta_free - y) x = -g: by the first block row of
+    K z = y z it is z_free ||mu~||/z_last, z the bordered eigenvector of y.
+    A root without z (polynomial route) takes an LU solve, as does a
+    deflated one, whose vanishing z_last makes y an eigenvalue of Delta_free
+    with eigenvector z_free decoupled from g: adding z_free z_free^T lifts
+    that direction and leaves the minimum-norm free part, orthogonal to it.
     """
     f = blocks.free_dim
     g, q_fixed, norm_sq = coupling
-    system = blocks.delta_free - y * mp.eye(f)
     deflated = z is not None and abs(z[f]) <= ctx.bracket_rtol
-    if deflated:
-        z_free = z[0:f]
-        system += z_free * z_free.T
-    try:
-        free_part = mp.lu_solve(system, -g) if f else mp.zeros(0, 1)
-    except ZeroDivisionError as exc:
-        raise SolverFailure(
-            "stationarity system is singular at eigenvalue %s; coincident "
-            "free-block eigenvalues are not resolvable" % mp.nstr(y, 8),
-            diagnostics={"eigenvalue": y, "deflated": deflated},
-        ) from exc
+    if z is not None and not deflated:
+        free_part = z[0:f, 0] * (mp.sqrt(norm_sq) / z[f])  # z[0:f] is 1x0 at f = 0
+    else:
+        system = blocks.delta_free - y * mp.eye(f)
+        if deflated:
+            system += z[0:f] * z[0:f].T
+        try:
+            free_part = mp.lu_solve(system, -g) if f else mp.zeros(0, 1)
+        except ZeroDivisionError as exc:
+            raise SolverFailure(
+                "stationarity system is singular at eigenvalue %s; coincident "
+                "free-block eigenvalues are not resolvable" % mp.nstr(y, 8),
+                diagnostics={"eigenvalue": y, "deflated": deflated},
+            ) from exc
     coeffs = frame.assemble(free_part)
     signal = FourierCosineSignal(band_limit=frame.n, coeffs=tuple(coeffs))
     stationarity = blocks.delta_free * free_part - y * free_part + g
@@ -186,12 +194,8 @@ def secular_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
     matrix K = [[Delta_free, g/||mu~||], [g^T/||mu~||, q/||mu~||^2]]:
     det(K - Y) = det(Delta_free - Y) * s(Y) / ||mu~||^2.
     """
-    if blocks.free_dim != frame.free_dim or blocks.m != frame.m:
-        raise ValueError("block decomposition does not match the frame")
     with ctx.workprec():
         coupling = g, q_fixed, norm_sq = _coupling(blocks, frame)
-        if norm_sq == 0:
-            raise ValueError("constraint targets are all zero")
         f = blocks.free_dim
         norm = mp.sqrt(norm_sq)
         bordered = mp.zeros(f + 1, f + 1)
@@ -213,16 +217,10 @@ def polynomial_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
     at doubled working precision because the expanded polynomial is badly
     conditioned in coefficient form.
     """
-    if blocks.free_dim != frame.free_dim or blocks.m != frame.m:
-        raise ValueError("block decomposition does not match the frame")
-    with ctx.workprec():
-        norm_sq = (frame.mu_tilde.T * frame.mu_tilde)[0]
-        if norm_sq == 0:
-            raise ValueError("constraint targets are all zero")
     with mp.workdps(2 * ctx.work_dps):
+        coupling = w, q_fixed, norm_sq = _coupling(blocks, frame)
         f = blocks.free_dim
         char, adj_terms = _faddeev_leverrier(blocks.delta_free, f)
-        coupling = w, q_fixed, norm_sq = _coupling(blocks, frame)
         # p(Y) = (q - ||mu~||^2 Y) det(YI - free) + w^T adj(YI - free) w
         coeffs = [mpf(0)] * (f + 2)  # ascending in Y
         for i in range(f + 1):

@@ -5,9 +5,10 @@ overlap entries come from adaptive quadrature instead of antiderivatives,
 minimum-norm interpolants from normal equations instead of the frame
 machinery, optimal yields from random-restart projected ascent instead of
 the bordered eigensolve, the secular function from an eigendecomposition
-of the free block instead of the bordered matrix, crossing counts from
-every grid sample instead of the samples next to a root, and Gauss-Legendre
-rules from Newton iteration in mpf alone.
+of the free block instead of the bordered matrix, free parts from LU
+solves of the stationarity system instead of bordered eigenvectors,
+crossing counts from every grid sample instead of the samples next to a
+root, and Gauss-Legendre rules from Newton iteration in mpf alone.
 """
 
 import math
@@ -54,12 +55,14 @@ def quad_energy(signal, dps=40):
 def grid_crossings(signal, domain, grid_points):
     """Sign changes over every sample of zero_crossings' grid, brute force.
 
-    The same grid, digits and cosine kernel as the package, so the two
-    counts agree sample for sample, rounding included; zero samples are
-    skipped, which counts a sign change across them once.
+    The same grid, digits, cosine kernel and zero band as the package, so
+    the two counts agree sample for sample, rounding included; samples
+    within 10^-dps sum |A_k| of zero are skipped, which counts a sign change
+    across them once.
     """
     scale = max(abs(c) for c in signal.coeffs)
     dps = 25 + (max(0, int(mp.ceil(mp.log10(scale)))) if scale else 0)
+    noise = mpf(10) ** -dps * mp.fsum(abs(c) for c in signal.coeffs)
     changes = 0
     for lo, hi in domain.intervals:
         count = max(2, int(round(grid_points * float((hi - lo) / domain.measure))))
@@ -68,7 +71,7 @@ def grid_crossings(signal, domain, grid_points):
             step = (mpf(hi) * 1 - lo) / (count - 1)
             values = [mp.fdot(signal.coeffs, cosine_basis(signal.band_limit, lo + k * step))
                       for k in range(count)]
-        signs = [v > 0 for v in values if v != 0]
+        signs = [v > 0 for v in values if abs(v) > noise]
         changes += sum(a != b for a, b in zip(signs, signs[1:]))
     return changes
 
@@ -283,6 +286,25 @@ def secular_equation(delta_free, gamma, delta_fixed, mu_tilde, dps):
             slope = -norm_sq - mp.fsum(w / (gap * gap) for w, gap in terms)
             return value, slope
     return evaluate
+
+
+def stationary_free_part(delta_free, gamma, delta_fixed, mu_tilde, y, dps):
+    """Free part x = -(Delta_free - y)^-1 Gamma mu~ by LU solves at dps digits.
+
+    y is first taken to dps digits by eight Newton steps on the secular
+    function s(y) = q - y ||mu~||^2 + g^T x(y), g = Gamma mu~, whose slope is
+    -(||mu~||^2 + ||x(y)||^2): x(y) is far more sensitive to the rounding of
+    a small root y than to the solve.
+    """
+    with mp.workdps(dps):
+        g = gamma * mu_tilde
+        q = (mu_tilde.T * (delta_fixed * mu_tilde))[0]
+        norm_sq = (mu_tilde.T * mu_tilde)[0]
+        eye = mp.eye(delta_free.rows)
+        for _ in range(8):
+            x = mp.lu_solve(delta_free - y * eye, -g)
+            y += (q - y * norm_sq + (g.T * x)[0]) / (norm_sq + (x.T * x)[0])
+        return mp.lu_solve(delta_free - y * eye, -g)
 
 
 def mpf_matrix_to_numpy(mat):

@@ -35,6 +35,7 @@ from oracles import (
     mpf_matrix_to_numpy,
     projected_ascent_max_float,
     secular_equation,
+    stationary_free_part,
 )
 
 CTX = Context(15)
@@ -293,6 +294,48 @@ class TestBorderedMatchesSecular:
             if not deflated:
                 value, slope = s(y)
                 assert abs(value) <= mpf(10) ** -CTX40.digits * abs(slope)
+
+
+class TestFreePartFromEigenvector:
+    # Over N in [3, 10], 2 <= M <= N and a on every odd hundredth and every
+    # multiple of 0.05 in [0.5, 2] at 40 digits, the relative distance of
+    # each non-deflated free part from the oracle's is below 4e-4 of
+    # 10^-40/y: a root y keeps about 40 + log10 y digits, and so does its
+    # free part (2.9e-25 at y = 1.9e-36, N=10, M=2, a=0.5; 3e-44 for roots
+    # near 1, 1e-12 apart).  An LU solve at the rounded y, even at 80
+    # digits, is off by 3.9e-21 in that first case.
+    @given(nm=st.integers(3, 10).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(2, n))),
+           hundredths=st.integers(50, 200))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_lu_solve_of_stationarity_system(self, nm, hundredths):
+        n, m = nm
+        domain = symmetrize_domain(0, "%.2f" % (hundredths / 100))
+        _, _, frame, _, blocks = build_problem(n, m, domain, CTX40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionWarning)
+            spec = secular_spectrum(blocks, frame, CTX40)
+        for y, x, deflated in zip(spec.eigenvalues, spec.free_parts,
+                                  spec.diagnostics["deflated"]):
+            if deflated:
+                continue
+            ref = stationary_free_part(blocks.delta_free, blocks.gamma,
+                                       blocks.delta_fixed, frame.mu_tilde, y, 80)
+            with mp.workdps(80):
+                assert mp.norm(x - ref) <= CTX40.eps / y * mp.norm(ref)
+
+    def test_lu_solves_only_for_deflated_roots(self, monkeypatch):
+        _, _, frame, _, blocks = build_problem(10, 6, symmetrize_domain(0, 1), CTX30)
+        calls = []
+        lu_solve = mp.lu_solve
+        monkeypatch.setattr(mp, "lu_solve",
+                            lambda *args: calls.append(args) or lu_solve(*args))
+        assert len(secular_spectrum(blocks, frame, CTX30)) == 6
+        assert calls == []
+        # TestDeflation's hand-built blocks: the decoupled pole is the one
+        # deflated root
+        TestDeflation().test_decoupled_pole_becomes_root()
+        assert len(calls) == 1
 
 
 class TestPrecisionLadder:
