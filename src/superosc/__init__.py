@@ -49,7 +49,7 @@ from .solver import (
     BlockDecomposition,
     GeneralizedSpectrum,
     fk_min_energy_signal,
-    polynomial_spectrum,
+    jacobi_spectrum,
     rotate_and_partition,
     secular_spectrum,
     slepian_modes,
@@ -86,11 +86,11 @@ __all__ = [
     "energy_per_period",
     "evaluate",
     "fk_min_energy_signal",
+    "jacobi_spectrum",
     "monotonicity_table",
     "orthonormal_frame",
     "overlap_matrix",
     "parse_domain_spec",
-    "polynomial_spectrum",
     "reduce_rank",
     "rotate_and_partition",
     "sample",

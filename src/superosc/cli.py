@@ -30,7 +30,7 @@ from .design import METHODS, design_spectrum
 from .domains import Domain, parse_domain_spec, symmetrize_domain
 from .errors import DomainError, InfeasibleConstraints, SolverFailure
 from .signals import evaluate, sample
-from .solver import fk_min_energy_signal, polynomial_spectrum, slepian_modes
+from .solver import fk_min_energy_signal, jacobi_spectrum, slepian_modes
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -187,13 +187,13 @@ def cmd_spectrum(args, ctx):
         "modes": modes,
     }
     if args.method == "both":
-        other = polynomial_spectrum(result.blocks, result.frame, ctx)
+        other = jacobi_spectrum(result.blocks, result.frame, ctx)
         with ctx.workprec():
             deltas = [
                 ctx.to_decimal(abs(a - b) / a)
                 for a, b in zip(result.spectrum.eigenvalues, other.eigenvalues)
             ]
-        doc["polynomial_eigenvalues"] = [
+        doc["jacobi_eigenvalues"] = [
             ctx.to_decimal(v) for v in other.eigenvalues]
         doc["method_relative_deltas"] = deltas
     if args.samples > 0:
@@ -334,13 +334,6 @@ def parse_document(text):
     return json.loads(text)
 
 
-def _diagnostic_number(x, ctx):
-    """JSON form of an mpf (full-precision decimal) or mpc (its two parts)."""
-    if isinstance(x, mp.mpc):
-        return {"real": ctx.to_decimal(x.real), "imag": ctx.to_decimal(x.imag)}
-    return ctx.to_decimal(x)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -357,7 +350,7 @@ def main(argv=None):
         print("solver failure: %s" % exc, file=sys.stderr)
         if exc.diagnostics:
             print("diagnostics: " + json.dumps(
-                exc.diagnostics, default=lambda x: _diagnostic_number(x, ctx),
+                exc.diagnostics, default=ctx.to_decimal,
                 sort_keys=True), file=sys.stderr)
         return EXIT_SOLVER
     print("elapsed %.2fs" % (time.monotonic() - started), file=sys.stderr)

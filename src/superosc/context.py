@@ -77,11 +77,10 @@ class Context:
     def bracket_rtol(self):
         """Relative gap below which the solver calls two quantities equal.
 
-        Two eigenvalues closer than this (relative) are degenerate, a unit
-        bordered eigenvector whose last component is below it is decoupled
-        from the constraints (deflated), and a polynomial root whose
-        imaginary part is below it (relative) is real.  Leaves 10 guard
-        digits of the internal working precision.
+        Two eigenvalues closer than this (relative) are degenerate, and a
+        unit bordered eigenvector whose last component is below it is
+        decoupled from the constraints (deflated).  Leaves 10 guard digits
+        of the internal working precision.
         """
         return mpf(10) ** (-(self.work_dps - 10))
 

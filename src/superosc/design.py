@@ -12,9 +12,9 @@ from mpmath import mpf
 from .constraints import alternating_constraints, constraint_matrix, orthonormal_frame
 from .context import FAST, Context
 from .domains import Domain, overlap_matrix
-from .solver import polynomial_spectrum, rotate_and_partition, secular_spectrum
+from .solver import jacobi_spectrum, rotate_and_partition, secular_spectrum
 
-METHODS = ("secular", "polynomial")
+METHODS = ("secular", "jacobi")
 
 
 def constraint_interval(domain: Domain):
@@ -63,7 +63,7 @@ def design_spectrum(band_limit: int, m: int, domain: Domain, ctx: Context = FAST
     frame = orthonormal_frame(cm, cs.values, completion_seed=seed, ctx=ctx)
     delta = overlap_matrix(domain, band_limit, ctx)
     blocks = rotate_and_partition(delta, frame, ctx)
-    solve = secular_spectrum if method == "secular" else polynomial_spectrum
+    solve = secular_spectrum if method == "secular" else jacobi_spectrum
     spectrum = solve(blocks, frame, ctx)
     return DesignResult(
         domain=domain,

@@ -24,8 +24,9 @@ class RankDeficientConstraints(SuperoscError):
 class SolverFailure(SuperoscError):
     """Raised when the spectrum solver cannot certify its result.
 
-    Carries a ``diagnostics`` dict (the offending eigenvalues or polynomial
-    coefficients) so failures can be reported rather than silently mended.
+    Carries a ``diagnostics`` dict (the offending eigenvalues, or the largest
+    off-diagonal entry a stalled Jacobi solve left) so failures can be
+    reported rather than silently mended.
     """
 
     def __init__(self, message, diagnostics=None):

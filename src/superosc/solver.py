@@ -14,10 +14,9 @@ complement of the symmetric bordered matrix
 so all N+2-M roots and their eigenvectors z = (z_free, z_last) come from one
 symmetric eigensolve; x = z_free*||mu~||/z_last solves (Delta_free - Y) x = -g
 for the signal's free part.  A vanishing z_last marks a free direction
-decoupled from the constraints (deflation): only such a root, and the
-vectorless polynomial route, take an LU solve.  Expanding the same equation
-into polynomial coefficients is numerically treacherous, which is why the
-expanded form is kept only as an independent cross-check.
+decoupled from the constraints (deflation): only such a root takes an LU
+solve.  secular_spectrum solves K with mpmath's eigsy; jacobi_spectrum, the
+independent cross-check, with cyclic Jacobi rotations on the same K.
 """
 
 import warnings
@@ -81,16 +80,12 @@ def rotate_and_partition(delta: OverlapMatrix, frame: RotatedFrame,
         )
 
 
-def _quadratic_form(mat, vec):
-    return (vec.T * (mat * vec))[0]
-
-
 def _coupling(blocks: BlockDecomposition, frame: RotatedFrame):
     """g = Gamma*mu~, q = mu~^T Delta_fixed mu~ and ||mu~||^2 of a matching frame."""
     if blocks.free_dim != frame.free_dim or blocks.m != frame.m:
         raise ValueError("block decomposition does not match the frame")
     g = blocks.gamma * frame.mu_tilde
-    q_fixed = _quadratic_form(blocks.delta_fixed, frame.mu_tilde)
+    q_fixed = (frame.mu_tilde.T * (blocks.delta_fixed * frame.mu_tilde))[0]
     norm_sq = (frame.mu_tilde.T * frame.mu_tilde)[0]
     if norm_sq == 0:
         raise ValueError("constraint targets are all zero")
@@ -101,23 +96,25 @@ def _reconstruct(y, z, coupling, blocks, frame, ctx):
     """Free part, signal, residuals and deflation flag for one root y.
 
     The free part solves (Delta_free - y) x = -g: by the first block row of
-    K z = y z it is z_free ||mu~||/z_last, z the bordered eigenvector of y.
-    A root without z (polynomial route) takes an LU solve, as does a
-    deflated one, whose vanishing z_last makes y an eigenvalue of Delta_free
-    with eigenvector z_free decoupled from g: adding z_free z_free^T lifts
-    that direction and leaves the minimum-norm free part, orthogonal to it.
+    K z = y z it is z_free ||mu~||/z_last, z the unit bordered eigenvector
+    of y.  A deflated root, whose vanishing z_last makes y an eigenvalue of
+    Delta_free with eigenvector z_free decoupled from g, takes an LU solve:
+    adding z_free z_free^T lifts that direction and leaves the minimum-norm
+    free part, orthogonal to it.  (A unit z with z_last = 0 has f >= 1.)
     """
     f = blocks.free_dim
     g, q_fixed, norm_sq = coupling
-    deflated = z is not None and abs(z[f]) <= ctx.bracket_rtol
-    if z is not None and not deflated:
+    deflated = abs(z[f]) <= ctx.bracket_rtol
+    if not deflated:
         free_part = z[0:f, 0] * (mp.sqrt(norm_sq) / z[f])  # z[0:f] is 1x0 at f = 0
     else:
-        system = blocks.delta_free - y * mp.eye(f)
-        if deflated:
-            system += z[0:f] * z[0:f].T
+        system = blocks.delta_free - y * mp.eye(f) + z[0:f] * z[0:f].T
         try:
-            free_part = mp.lu_solve(system, -g) if f else mp.zeros(0, 1)
+            free_part = mp.lu_solve(system, -g)
+            # a free part past the deflation threshold ||mu~||/bracket_rtol:
+            # the lift left a coupled free-block eigenvalue at y
+            if mp.norm(free_part) * ctx.bracket_rtol > mp.sqrt(norm_sq):
+                raise ZeroDivisionError
         except ZeroDivisionError as exc:
             raise SolverFailure(
                 "stationarity system is singular at eigenvalue %s; coincident "
@@ -145,9 +142,8 @@ def _warn_below_floor(smallest, ctx, stacklevel):
 def _finalize(roots, vectors, coupling, blocks, frame, method, ctx):
     """Check the roots and reconstruct their signals.
 
-    vectors holds the bordered eigenvector of each root, or is None when
-    the roots come without one (polynomial route: no deflation); coupling
-    is _coupling(blocks, frame).
+    roots ascend, vectors holds the unit bordered eigenvector of each root
+    as an (f+1)x1 matrix, and coupling is _coupling(blocks, frame).
     """
     expected = frame.free_dim + 1
     if len(roots) != expected:
@@ -169,7 +165,7 @@ def _finalize(roots, vectors, coupling, blocks, frame, method, ctx):
                 diagnostics={"roots": roots},
             )
     parts = [_reconstruct(y, z, coupling, blocks, frame, ctx)
-             for y, z in zip(roots, vectors or [None] * len(roots))]
+             for y, z in zip(roots, vectors)]
     free_parts, signals, stationarity, sec_res, defl_flags = zip(*parts)
     _warn_below_floor(roots[0], ctx, stacklevel=4)
     return GeneralizedSpectrum(
@@ -186,6 +182,19 @@ def _finalize(roots, vectors, coupling, blocks, frame, method, ctx):
     )
 
 
+def _bordered(blocks: BlockDecomposition, frame: RotatedFrame):
+    """The bordered matrix K and _coupling(blocks, frame), at the caller's precision."""
+    coupling = g, q_fixed, norm_sq = _coupling(blocks, frame)
+    f = blocks.free_dim
+    norm = mp.sqrt(norm_sq)
+    bordered = mp.zeros(f + 1, f + 1)
+    bordered[0:f, 0:f] = blocks.delta_free
+    for i in range(f):
+        bordered[i, f] = bordered[f, i] = g[i] / norm
+    bordered[f, f] = q_fixed / norm_sq
+    return bordered, coupling
+
+
 def secular_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
                      ctx: Context = FAST) -> GeneralizedSpectrum:
     """All N+2-M generalized eigenvalues from one bordered eigensolve.
@@ -195,80 +204,66 @@ def secular_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
     det(K - Y) = det(Delta_free - Y) * s(Y) / ||mu~||^2.
     """
     with ctx.workprec():
-        coupling = g, q_fixed, norm_sq = _coupling(blocks, frame)
-        f = blocks.free_dim
-        norm = mp.sqrt(norm_sq)
-        bordered = mp.zeros(f + 1, f + 1)
-        bordered[0:f, 0:f] = blocks.delta_free
-        for i in range(f):
-            bordered[i, f] = bordered[f, i] = g[i] / norm
-        bordered[f, f] = q_fixed / norm_sq
+        bordered, coupling = _bordered(blocks, frame)
         roots, vectors = mp.eigsy(bordered)
-        return _finalize(list(roots), [vectors.column(k) for k in range(f + 1)],
+        return _finalize(list(roots), [vectors.column(k) for k in range(bordered.rows)],
                          coupling, blocks, frame, "secular", ctx)
 
 
-def polynomial_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
-                        ctx: Context = FAST) -> GeneralizedSpectrum:
-    """Cross-check path: expand the eigenvalue equation and root-find it.
+# Tests reach at most 17 sweeps (N=20, M=3 on (-1, 1) at 100 digits, order
+# 19), 19 were measured (the same at a = 1/64, 230 digits); convergence is
+# quadratic near the end, so a solve still rotating at twice that is stuck.
+JACOBI_MAX_SWEEPS = 40
 
-    Coefficients come from the characteristic polynomial of the free block
-    and the matching adjugate expansion (Faddeev-LeVerrier), both computed
-    at doubled working precision because the expanded polynomial is badly
-    conditioned in coefficient form.
+
+def jacobi_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
+                    ctx: Context = FAST) -> GeneralizedSpectrum:
+    """Cross-check path: the same K as secular_spectrum, by cyclic Jacobi.
+
+    Real mpf rotations on lists of rows, accumulating the eigenvectors.  An
+    off-diagonal a_pq is set to zero once |a_pq| <= 2^-prec sqrt(|a_pp a_qq|),
+    the relative stopping rule of Demmel & Veselic (SIAM J. Matrix Anal.
+    Appl. 13, 1992) for positive-definite K; the abs keeps a diagonal that
+    rounds negative from a complex square root.  The solve ends after a sweep
+    without a rotation.
     """
-    with mp.workdps(2 * ctx.work_dps):
-        coupling = w, q_fixed, norm_sq = _coupling(blocks, frame)
-        f = blocks.free_dim
-        char, adj_terms = _faddeev_leverrier(blocks.delta_free, f)
-        # p(Y) = (q - ||mu~||^2 Y) det(YI - free) + w^T adj(YI - free) w
-        coeffs = [mpf(0)] * (f + 2)  # ascending in Y
-        for i in range(f + 1):
-            coeffs[i] += q_fixed * char[i]
-            coeffs[i + 1] -= norm_sq * char[i]
-        for k, mat in enumerate(adj_terms):
-            coeffs[f - 1 - k] += _quadratic_form(mat, w)
-        try:
-            raw = mp.polyroots(list(reversed(coeffs)), maxsteps=2000,
-                               extraprec=mp.prec)
-        except mp.NoConvergence as exc:
-            raise SolverFailure("polynomial root finding did not converge",
-                                diagnostics={"coefficients": coeffs}) from exc
-        roots = []
-        for r in raw:
-            if abs(mp.im(r)) > ctx.bracket_rtol * (abs(r) + ctx.eps):
-                raise SolverFailure(
-                    "expanded polynomial produced a complex root %s" % mp.nstr(r, 8),
-                    diagnostics={"roots": raw},
-                )
-            roots.append(mp.re(r))
-        roots.sort()
     with ctx.workprec():
-        roots = [+y for y in roots]
-        return _finalize(roots, None, coupling, blocks, frame, "polynomial", ctx)
-
-
-def _faddeev_leverrier(matrix, n):
-    """Characteristic polynomial det(YI - A) and adjugate expansion of A.
-
-    Returns (char, terms): char[i] is the Y^i coefficient (char[n] = 1) and
-    adj(YI - A) = sum_k terms[k] * Y^(n-1-k).
-    """
-    if n == 0:
-        return [mpf(1)], []
-    char = [mpf(0)] * (n + 1)
-    char[n] = mpf(1)
-    current = mp.eye(n)
-    terms = [current]
-    product = matrix * current
-    char[n - 1] = -sum(product[i, i] for i in range(n))
-    for k in range(1, n):
-        current = product + char[n - k] * mp.eye(n)
-        terms.append(current)
-        product = matrix * current
-        trace = sum(product[i, i] for i in range(n))
-        char[n - k - 1] = -trace / (k + 1)
-    return char, terms
+        bordered, coupling = _bordered(blocks, frame)
+        a, basis = bordered.tolist(), mp.eye(bordered.rows).tolist()  # basis rows: vectors
+        size, tol = len(a), mpf(2) ** -mp.prec
+        for _ in range(JACOBI_MAX_SWEEPS):
+            rotated = False
+            for p in range(size - 1):
+                for q in range(p + 1, size):
+                    app, aqq, apq = a[p][p], a[q][q], a[p][q]
+                    if abs(apq) <= tol * mp.sqrt(abs(app * aqq)):
+                        a[p][q] = a[q][p] = mpf(0)
+                        continue
+                    rotated = True
+                    theta = (aqq - app) / (2 * apq)
+                    t = (-1 if theta < 0 else 1) / (abs(theta) + mp.sqrt(theta * theta + 1))
+                    c = 1 / mp.sqrt(t * t + 1)
+                    s = t * c
+                    for rows in (a, basis):
+                        rp, rq = rows[p], rows[q]
+                        rows[p] = [c * x - s * y for x, y in zip(rp, rq)]
+                        rows[q] = [s * x + c * y for x, y in zip(rp, rq)]
+                    for r in range(size):
+                        a[r][p], a[r][q] = a[p][r], a[q][r]
+                    a[p][p], a[q][q] = app - t * apq, aqq + t * apq
+                    a[p][q] = a[q][p] = mpf(0)
+            if not rotated:
+                break
+        else:
+            raise SolverFailure(
+                "Jacobi rotations on the bordered matrix of order %d did not "
+                "converge in %d sweeps" % (size, JACOBI_MAX_SWEEPS),
+                diagnostics={"largest_off_diagonal": max(
+                    abs(a[p][q]) for p in range(size) for q in range(p + 1, size))},
+            )
+        order = sorted(range(size), key=lambda k: a[k][k])
+        return _finalize([a[k][k] for k in order], [mp.matrix(basis[k]) for k in order],
+                         coupling, blocks, frame, "jacobi", ctx)
 
 
 def fk_min_energy_signal(frame: RotatedFrame, ctx: Context = FAST) -> FourierCosineSignal:

@@ -198,13 +198,13 @@ def test_criterion_05_cross_method_agreement():
     worst = mpf(0)
     for n, m, domain in configs:
         sec = solve(n, m, domain, HIGH, method="secular")
-        pol = solve(n, m, domain, HIGH, method="polynomial")
-        assert len(sec.spectrum) == len(pol.spectrum) == n + 2 - m
+        jac = solve(n, m, domain, HIGH, method="jacobi")
+        assert len(sec.spectrum) == len(jac.spectrum) == n + 2 - m
         with HIGH.workprec():
-            for a, b in zip(sec.spectrum.eigenvalues, pol.spectrum.eigenvalues):
+            for a, b in zip(sec.spectrum.eigenvalues, jac.spectrum.eigenvalues):
                 worst = max(worst, abs(a - b) / a)
     ok = worst < mpf("1e-6")
-    report(5, ok, "secular vs polynomial on %d configs, worst relative "
+    report(5, ok, "secular vs jacobi on %d configs, worst relative "
                   "disagreement %.1e (tol 1e-6)" % (len(configs), float(worst)))
     assert ok
 

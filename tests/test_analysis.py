@@ -220,6 +220,16 @@ class TestHessenbergEigenvalues:
                  if "mp.eig(" in line]
         assert sites == []
 
+    def test_no_polynomial_roots_or_complex_numbers_in_package(self):
+        # the spectrum's cross-check is Jacobi on the bordered matrix, so no
+        # code in the package roots a polynomial or carries an mpc
+        package = pathlib.Path(superosc.__file__).parent
+        sites = [(path.name, lineno)
+                 for path in sorted(package.glob("*.py"))
+                 for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+                 if "polyroots" in line or "mpc" in line]
+        assert sites == []
+
 
 @st.composite
 def crossing_cases(draw):

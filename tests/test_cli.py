@@ -3,11 +3,10 @@
 import json
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mpf
 
-from superosc import cli
+from superosc import cli, solver
 from superosc.cli import main, parse_document, render_json
-from superosc.errors import SolverFailure
 
 
 def significant_digits(decimal):
@@ -126,7 +125,7 @@ class TestSpectrum:
                              "--precision", "40")
         assert code == 0
         assert calls == ["secular"]
-        assert len(parse_document(text)["polynomial_eigenvalues"]) == 5
+        assert len(parse_document(text)["jacobi_eigenvalues"]) == 5
 
     def test_annulus_flag(self, tmp_path):
         code, text = run_cli(tmp_path, "spectrum", "-n", "5", "-m", "3",
@@ -173,25 +172,18 @@ class TestSpectrum:
         assert len(roots) == 19
         assert all(significant_digits(r) >= 100 for r in roots)
 
-    def test_complex_diagnostics_keep_both_parts(self, tmp_path, capsys,
-                                                 monkeypatch):
-        with mp.workdps(130):
-            root = mp.mpc(mpf(1) / 3, -mpf(2) / 7)
-
-        def fail(*args, **kwargs):
-            raise SolverFailure("complex root", diagnostics={"roots": [root]})
-        monkeypatch.setattr(cli, "design_spectrum", fail)
+    def test_stalled_jacobi_prints_json_diagnostics(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(solver, "JACOBI_MAX_SWEEPS", 1)
         code, _ = run_cli(tmp_path, "spectrum", "-n", "6", "-m", "3",
-                          "--interval", "1", "--precision", "100")
+                          "--interval", "1", "--method", "jacobi")
         assert code == 3
         err = capsys.readouterr().err
+        assert "order 5" in err
         lines = [l for l in err.splitlines() if l.startswith("diagnostics: ")]
-        (part,) = json.loads(lines[0][len("diagnostics: "):])["roots"]
-        assert significant_digits(part["real"]) >= 100
-        assert significant_digits(part["imag"]) >= 100
-        with mp.workdps(130):
-            assert abs(mpf(part["real"]) - mpf(1) / 3) < mpf(10) ** -100
-            assert abs(mpf(part["imag"]) + mpf(2) / 7) < mpf(10) ** -100
+        assert len(lines) == 1
+        diagnostics = json.loads(lines[0][len("diagnostics: "):])
+        assert mpf(diagnostics["largest_off_diagonal"]) > 0
 
 
 class TestBaseline:

@@ -22,8 +22,8 @@ from superosc import (
     evaluate,
     fk_min_energy_signal,
     orthonormal_frame,
+    jacobi_spectrum,
     overlap_matrix,
-    polynomial_spectrum,
     rotate_and_partition,
     secular_spectrum,
     slepian_modes,
@@ -403,31 +403,82 @@ class TestDegenerateFailure:
                 secular_spectrum(blocks, frame, CTX)
 
 
-class TestPolynomialSpectrum:
+def hand_built(delta_free, gamma, delta_fixed):
+    """Blocks and a one-constraint identity frame from decimal-string rows."""
+    with CTX.workprec():
+        blocks = BlockDecomposition(delta_free=mp.matrix(delta_free),
+                                    gamma=mp.matrix(gamma),
+                                    delta_fixed=mp.matrix(delta_fixed))
+        frame = RotatedFrame(rotation=mp.eye(3), free_dim=2,
+                             mu_tilde=mp.matrix([mpf(1)]), completion_seed=0,
+                             points=(mpf(0),), values=(mpf(1),))
+    return blocks, frame
+
+
+class TestJacobiSpectrum:
     def test_agrees_with_secular(self):
         ctx = Context(100)
         domain = symmetrize_domain(0, 1)
         _, _, frame, _, blocks = build_problem(6, 3, domain, ctx)
         sec = secular_spectrum(blocks, frame, ctx)
-        pol = polynomial_spectrum(blocks, frame, ctx)
-        assert len(sec) == len(pol) == 5
-        for a, b in zip(sec.eigenvalues, pol.eigenvalues):
+        jac = jacobi_spectrum(blocks, frame, ctx)
+        assert len(sec) == len(jac) == 5
+        for a, b in zip(sec.eigenvalues, jac.eigenvalues):
             assert abs(a - b) / a < 1e-6
 
     def test_degree_equals_root_count(self):
         ctx = Context(100)
         domain = symmetrize_domain(0, 1)
         _, _, frame, _, blocks = build_problem(10, 5, domain, ctx)
-        pol = polynomial_spectrum(blocks, frame, ctx)
-        assert len(pol) == 7
+        jac = jacobi_spectrum(blocks, frame, ctx)
+        assert len(jac) == 7
 
     def test_saturated_case_single_root(self):
         domain = symmetrize_domain(0, 1)
         _, _, frame, _, blocks = build_problem(3, 4, domain, CTX30)
-        pol = polynomial_spectrum(blocks, frame, CTX30)
+        jac = jacobi_spectrum(blocks, frame, CTX30)
         sec = secular_spectrum(blocks, frame, CTX30)
-        assert len(pol) == 1
-        assert abs(pol.eigenvalues[0] - sec.eigenvalues[0]) < 1e-30
+        assert len(jac) == 1
+        assert abs(jac.eigenvalues[0] - sec.eigenvalues[0]) < 1e-30
+
+    def test_decoupled_pole_becomes_deflated_root(self):
+        # TestDeflation's blocks: roots (0.5 +- sqrt(0.05))/2 and the pole 0.6
+        blocks, frame = hand_built([["0.3", "0"], ["0", "0.6"]],
+                                   [["0.1"], ["0"]], [["0.2"]])
+        spec = jacobi_spectrum(blocks, frame, CTX)
+        with CTX.workprec():
+            expected = sorted([(mpf("0.5") - mp.sqrt(mpf("0.05"))) / 2,
+                               (mpf("0.5") + mp.sqrt(mpf("0.05"))) / 2,
+                               mpf("0.6")])
+        assert len(spec) == 3
+        for got, want in zip(spec.eigenvalues, expected):
+            assert abs(got - want) < 1e-14
+        assert spec.diagnostics["deflated"] == (False, False, True)
+
+    def test_coincident_poles_raise(self):
+        # TestDegenerateFailure's blocks
+        from superosc import SolverFailure
+        blocks, frame = hand_built([["0.4", "0"], ["0", "0.4"]],
+                                   [["0.05"], ["0.05"]], [["0.3"]])
+        with pytest.raises(SolverFailure):
+            jacobi_spectrum(blocks, frame, CTX)
+
+    def test_matches_secular_at_n20(self):
+        # the smallest of the 19 roots is 2.2e-47; measured agreement is
+        # 6e-70 on the eigenvalues and 6e-74 on the coefficients
+        ctx = Context(100)
+        domain = symmetrize_domain(0, 1)
+        sec = design_spectrum(20, 3, domain, ctx).spectrum
+        jac = design_spectrum(20, 3, domain, ctx, method="jacobi").spectrum
+        assert len(sec) == len(jac) == 19
+        assert jac.diagnostics["method"] == "jacobi"
+        with ctx.workprec():
+            for a, b in zip(sec.eigenvalues, jac.eigenvalues):
+                assert abs(a - b) / a < mpf("1e-60")
+            for s1, s2 in zip(sec.signals, jac.signals):
+                scale = max(abs(c) for c in s1.coeffs)
+                worst = max(abs(x - y) for x, y in zip(s1.coeffs, s2.coeffs))
+                assert worst < mpf("1e-60") * scale
 
 
 class TestBaselines:
