@@ -335,8 +335,10 @@ def parse_document(text):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # invalid arguments (2) or --help (0)
+        return exc.code
     started = time.monotonic()
     try:
         ctx = Context(digits=args.precision)

@@ -15,7 +15,8 @@ so all N+2-M roots and their eigenvectors z = (z_free, z_last) come from one
 symmetric eigensolve; x = z_free*||mu~||/z_last solves (Delta_free - Y) x = -g
 for the signal's free part.  A vanishing z_last marks a free direction
 decoupled from the constraints (deflation): only such a root takes an LU
-solve.  secular_spectrum solves K with mpmath's eigsy; jacobi_spectrum, the
+solve.  secular_spectrum solves K by tridiagonalization, implicit QL and
+tridiagonal inverse iteration (_eigensystem); jacobi_spectrum, the
 independent cross-check, with cyclic Jacobi rotations on the same K.
 """
 
@@ -23,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.matrices.eigen_symmetric import r_sy_tridiag, tridiag_eigen
 
 from .constraints import RotatedFrame
 from .context import FAST, Context
@@ -195,6 +197,71 @@ def _bordered(blocks: BlockDecomposition, frame: RotatedFrame):
     return bordered, coupling
 
 
+def _eigensystem(matrix):
+    """Ascending eigenvalues and unit eigenvectors (lists) of a symmetric matrix.
+
+    mpmath's EISPACK tred2 and implicit QL without vectors, the two halves
+    of eigsy, tridiagonalize from the last row up (the last coordinate is
+    never rotated: Q's last row is e_n) and give eigsy's eigenvalues.  Each
+    vector comes from inverse iteration on T (Peters & Wilkinson, EISPACK
+    tinvit): a pivoted LU of T - y, two back-substitutions from the all-ones
+    vector, each followed by Gram-Schmidt against the earlier vectors within
+    1e-3 ||T|| (coincident eigenvalues shifted apart by eps ||T||); z = Q v.
+    """
+    size, a = matrix.rows, matrix.copy()
+    d, e = [mpf(0)] * size, [mpf(0)] * size
+    r_sy_tridiag(mp, a, d, e, False)
+    cols = a.T.tolist()  # reflection i's vector is cols[i][:i], zero if skipped
+    reflections = [(u, mp.fdot(u, u) / 2) for u in
+                   (cols[i][:i] for i in range(2, size)) if any(u)]
+    values, off = d[:], e[:]
+    try:
+        tridiag_eigen(mp, values, off, False)
+    except RuntimeError as exc:
+        # QL settles eigenvalues in order: the first unsplit off-diagonal is stuck
+        index = next((k for k in range(size - 1) if abs(off[k]) > mp.eps * (
+            abs(values[k]) + abs(values[k + 1]))), size - 1)
+        raise SolverFailure("implicit QL on the bordered matrix of order %d did not "
+                            "converge" % size, diagnostics={"unconverged_index": index}) from exc
+    norm = max(abs(d[i]) + abs(e[i]) + abs(e[i - 1]) for i in range(size)) or mpf(1)  # e[-1] = 0
+    eps3, vectors, group, last = mp.eps * norm, [], [], None
+    for y in values:
+        if last is None or y - last >= norm / 1000:
+            group = []
+        elif y <= last:
+            y = last + eps3
+        last, pivots, steps, top = y, [], [], [d[0] - y, e[0], mpf(0)]
+        for i in range(size - 1):  # T - y = P L U, U with two superdiagonals
+            row = [e[i], d[i + 1] - y, e[i + 1]]
+            swap = abs(row[0]) > abs(top[0])
+            top, row = (row, top) if swap else (top, row)
+            m = row[0] / top[0] if top[0] else mpf(0)
+            pivots.append(top)
+            steps.append((swap, m))
+            top = [row[1] - m * top[1], row[2] - m * top[2], mpf(0)]
+        pivots.append(top)
+        v = [mpf(1)] * size
+        for sweep in range(2):
+            for i, (swap, m) in enumerate(steps if sweep else ()):  # v <- L^-1 P v
+                if swap:
+                    v[i], v[i + 1] = v[i + 1], v[i]
+                v[i + 1] -= m * v[i]
+            x = [mpf(0)] * (size + 2)  # two zeros past the end for the last rows
+            for i in range(size - 1, -1, -1):
+                u0, u1, u2 = pivots[i]
+                x[i] = (v[i] - u1 * x[i + 1] - u2 * x[i + 2]) / (u0 or eps3)
+            dots = [mp.fdot(x, w) for w in group]  # fdot zips: stops at w's end
+            v = [xi - mp.fdot(dots, col) for xi, col in zip(x, zip(*group))] if group else x[:size]
+        scale = 1 / mp.sqrt(mp.fdot(v, v))
+        group.append([vi * scale for vi in v])
+        z = group[-1][:]
+        for u, h in reflections:
+            c = mp.fdot(z, u) / h
+            z[:len(u)] = [zi - c * ui for zi, ui in zip(z, u)]
+        vectors.append(z)
+    return values, vectors
+
+
 def secular_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
                      ctx: Context = FAST) -> GeneralizedSpectrum:
     """All N+2-M generalized eigenvalues from one bordered eigensolve.
@@ -205,8 +272,8 @@ def secular_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
     """
     with ctx.workprec():
         bordered, coupling = _bordered(blocks, frame)
-        roots, vectors = mp.eigsy(bordered)
-        return _finalize(list(roots), [vectors.column(k) for k in range(bordered.rows)],
+        roots, vectors = _eigensystem(bordered)
+        return _finalize(roots, [mp.matrix(z) for z in vectors],
                          coupling, blocks, frame, "secular", ctx)
 
 
@@ -285,6 +352,7 @@ def slepian_modes(delta: OverlapMatrix, ctx: Context = FAST):
     are the discrete analogues of the prolate spheroidal wavefunctions and
     the natural baseline: no constrained signal can beat the top mode.
     Warns (PrecisionWarning) when the smallest is below ctx.trust_floor.
+    Keeps mp.eigsy, whose vectors set the baseline document's digits.
     """
     with ctx.workprec():
         eigvals, eigvecs = mp.eigsy(delta.entries)

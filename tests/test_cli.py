@@ -185,6 +185,34 @@ class TestSpectrum:
         diagnostics = json.loads(lines[0][len("diagnostics: "):])
         assert mpf(diagnostics["largest_off_diagonal"]) > 0
 
+    def test_unconverged_ql_prints_json_diagnostics(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def stall(*args):
+            raise RuntimeError("tridiag_eigen: no convergence to an "
+                               "eigenvalue after 230 iterations")
+        monkeypatch.setattr(solver, "tridiag_eigen", stall)
+        code, _ = run_cli(tmp_path, "spectrum", "-n", "6", "-m", "3",
+                          "--interval", "1")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "order 5" in err
+        lines = [l for l in err.splitlines() if l.startswith("diagnostics: ")]
+        assert len(lines) == 1
+        diagnostics = json.loads(lines[0][len("diagnostics: "):])
+        assert diagnostics["unconverged_index"] == 0
+
+
+class TestArguments:
+    def test_invalid_arguments_return_2(self, capsys):
+        code = main(["spectrum", "-n", "5", "-m", "3", "--interval", "1",
+                     "--method", "polynomial"])
+        assert code == 2
+        assert "invalid choice: 'polynomial'" in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert main(["spectrum", "--help"]) == 0
+        assert "--method" in capsys.readouterr().out
+
 
 class TestBaseline:
     def test_fields(self, tmp_path):

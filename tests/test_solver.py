@@ -4,10 +4,11 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from superosc import solver
 from superosc import (
     BlockDecomposition,
     Context,
@@ -337,6 +338,16 @@ class TestFreePartFromEigenvector:
         TestDeflation().test_decoupled_pole_becomes_root()
         assert len(calls) == 1
 
+    def test_no_eigsy_calls(self, monkeypatch):
+        _, _, frame, _, blocks = build_problem(10, 6, symmetrize_domain(0, 1), CTX30)
+        calls = []
+        eigsy = mp.eigsy
+        monkeypatch.setattr(mp, "eigsy",
+                            lambda *args, **kw: calls.append(args) or eigsy(*args, **kw))
+        assert len(secular_spectrum(blocks, frame, CTX30)) == 6
+        TestDeflation().test_decoupled_pole_becomes_root()
+        assert calls == []
+
 
 class TestPrecisionLadder:
     def test_100_and_130_digit_spectra_agree(self):
@@ -401,6 +412,66 @@ class TestDegenerateFailure:
             )
             with pytest.raises(SolverFailure):
                 secular_spectrum(blocks, frame, CTX)
+
+
+def random_symmetric(order, kind, rng):
+    """A random symmetric matrix at the current precision.
+
+    kind "dense": uniform entries in [-1, 1]; "cluster": Q diag(lam) Q^T
+    with two eigenvalues 1e-12 apart and Q a Householder reflection;
+    "blocks": two dense blocks on the diagonal, decoupled.
+    """
+    def dense(n):
+        b = [[mpf(rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
+        return [[(b[i][j] + b[j][i]) / 2 for j in range(n)] for i in range(n)]
+    if kind == "dense" or order < 2:
+        return mp.matrix(dense(order))
+    if kind == "blocks":
+        cut = rng.randint(1, order - 1)
+        a = mp.zeros(order, order)
+        a[0:cut, 0:cut] = mp.matrix(dense(cut))
+        a[cut:order, cut:order] = mp.matrix(dense(order - cut))
+        return a
+    lam = [mpf(rng.uniform(-1, 1)) for _ in range(order)]
+    lam[1] = lam[0] + mpf("1e-12")
+    w = mp.matrix([mpf(rng.uniform(-1, 1)) for _ in range(order)])
+    q = mp.eye(order) - 2 * w * w.T / mp.fdot(w, w)
+    return q * mp.diag(lam) * q.T
+
+
+class TestEigensystem:
+    """solver._eigensystem, the bordered eigensolve of secular_spectrum."""
+
+    @given(order=st.integers(1, 20), digits=st.integers(30, 100),
+           kind=st.sampled_from(["dense", "cluster", "blocks"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # two eigenvalues 1.46e-3 apart, outside one Gram-Schmidt group: their
+    # vectors are 3.4e-29 (170 eps) from orthogonal
+    @example(order=14, digits=30, kind="cluster", seed=23999895)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_eigsy_with_small_residuals(self, order, digits, kind, seed):
+        with mp.workdps(digits):
+            a = random_symmetric(order, kind, random.Random(seed))
+            values, vectors = solver._eigensystem(a)
+            norm = mp.mnorm(a, 1)
+            tol = 100 * mp.eps * norm
+            # the tridiagonal form and its QL are eigsy's own
+            assert values == list(mp.eigsy(a, eigvals_only=True))
+            for y, z in zip(values, vectors):
+                residual = a * mp.matrix(z) - y * mp.matrix(z)
+                assert mp.norm(residual) <= tol
+            for i, zi in enumerate(vectors):
+                assert abs(mp.fdot(zi, zi) - 1) <= 100 * mp.eps
+                for j, zj in enumerate(vectors[:i]):
+                    # Gram-Schmidt keeps near-equal eigenvalues' vectors
+                    # orthogonal; farther apart, the residuals bound
+                    # |zi.zj| by (|ri| + |rj|)/gap
+                    gap = values[i] - values[j]
+                    bound = 100 * mp.eps if gap < norm / 10 ** 6 else 2 * tol / gap
+                    assert abs(mp.fdot(zi, zj)) <= bound
+        with mp.workdps(2 * digits):
+            exact = mp.eigsy(a, eigvals_only=True)
+            assert all(abs(y - x) <= tol for y, x in zip(values, exact))
 
 
 def hand_built(delta_free, gamma, delta_fixed):
