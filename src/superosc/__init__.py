@@ -46,11 +46,9 @@ from .errors import (
 )
 from .signals import FourierCosineSignal, energy_per_period, evaluate, sample
 from .solver import (
-    BlockDecomposition,
     GeneralizedSpectrum,
     fk_min_energy_signal,
     jacobi_spectrum,
-    rotate_and_partition,
     secular_spectrum,
     slepian_modes,
 )
@@ -58,7 +56,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDecomposition",
     "ConstraintMatrix",
     "ConstraintSet",
     "Context",
@@ -92,7 +89,6 @@ __all__ = [
     "overlap_matrix",
     "parse_domain_spec",
     "reduce_rank",
-    "rotate_and_partition",
     "sample",
     "scaling_sweep",
     "secular_spectrum",

@@ -333,6 +333,8 @@ def scaling_sweep(n: int, m: int, a_values, ctx: Context = FAST,
     a_values = [mpf(a) for a in a_values]
     if any(not (0 < a < mp.pi) for a in a_values):
         raise ValueError("interval radii must lie in (0, pi)")
+    if len(set(a_values)) != len(a_values):
+        raise ValueError("interval radii must be pairwise distinct")
     if min(a_values) < mpf("0.1") and ctx.digits < 100:
         raise ValueError("radii below 0.1 need a high-precision context (>= 100 digits)")
     rows, errors = _sweep(n, [(a, a, m) for a in a_values], ctx, seed)
@@ -352,5 +354,7 @@ def monotonicity_table(n: int, a, m_values, ctx: Context = FAST,
     a = mpf(a)
     if any(m > n + 1 for m in m_values):
         raise ValueError("constraint counts must be <= band limit + 1")
+    if len(set(m_values)) != len(m_values):
+        raise ValueError("constraint counts must be pairwise distinct")
     rows, errors = _sweep(n, [(m, a, m) for m in m_values], ctx, seed)
     return SweepTable(rows=rows, slopes={}, errors=errors)

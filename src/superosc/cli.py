@@ -187,7 +187,7 @@ def cmd_spectrum(args, ctx):
         "modes": modes,
     }
     if args.method == "both":
-        other = jacobi_spectrum(result.blocks, result.frame, ctx)
+        other = jacobi_spectrum(result.delta, result.frame, ctx)
         with ctx.workprec():
             deltas = [
                 ctx.to_decimal(abs(a - b) / a)

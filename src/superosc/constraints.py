@@ -180,10 +180,6 @@ class RotatedFrame:
     def n(self):
         return self.rotation.rows - 1
 
-    @property
-    def m(self):
-        return self.rotation.rows - self.free_dim
-
     def assemble(self, free_part):
         """Coefficient row vector from free coordinates plus the fixed block."""
         return mp.matrix([list(free_part) + list(self.mu_tilde)]) * self.rotation

@@ -11,6 +11,7 @@ that results are trustworthy to the full context precision.
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpmathify
+from mpmath.libmp import dps_to_prec
 
 # Guard digits added on top of the user-visible precision for internal work.
 GUARD_DIGITS = 15
@@ -94,9 +95,7 @@ class Context:
     @property
     def decimal_digits(self):
         """Decimal digits needed to round-trip a working-precision mpf."""
-        with self.workprec():
-            prec = mp.prec
-        return int(prec * 0.30103) + 3
+        return int(dps_to_prec(self.work_dps) * 0.30103) + 3
 
     def to_decimal(self, x):
         """Serialize an mpf as a decimal string that parses back exactly.

@@ -12,7 +12,7 @@ from mpmath import mpf
 from .constraints import alternating_constraints, constraint_matrix, orthonormal_frame
 from .context import FAST, Context
 from .domains import Domain, overlap_matrix
-from .solver import jacobi_spectrum, rotate_and_partition, secular_spectrum
+from .solver import jacobi_spectrum, secular_spectrum
 
 METHODS = ("secular", "jacobi")
 
@@ -40,7 +40,6 @@ class DesignResult:
     delta: object         # OverlapMatrix
     constraints: object   # ConstraintSet
     frame: object         # RotatedFrame
-    blocks: object        # BlockDecomposition
     spectrum: object      # GeneralizedSpectrum
 
     @property
@@ -62,14 +61,12 @@ def design_spectrum(band_limit: int, m: int, domain: Domain, ctx: Context = FAST
     cm = constraint_matrix(cs, band_limit, ctx)
     frame = orthonormal_frame(cm, cs.values, completion_seed=seed, ctx=ctx)
     delta = overlap_matrix(domain, band_limit, ctx)
-    blocks = rotate_and_partition(delta, frame, ctx)
     solve = secular_spectrum if method == "secular" else jacobi_spectrum
-    spectrum = solve(blocks, frame, ctx)
+    spectrum = solve(delta, frame, ctx)
     return DesignResult(
         domain=domain,
         delta=delta,
         constraints=cs,
         frame=frame,
-        blocks=blocks,
         spectrum=spectrum,
     )

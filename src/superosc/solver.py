@@ -1,23 +1,27 @@
 """Constrained yield maximization as a generalized eigenvalue problem.
 
-Rotating the overlap matrix into the constraint-adapted frame splits it
-into a free block, a fixed block, and their coupling.  Stationary values of
-the yield are then the roots of the secular function
+The yield A^T Delta A / A^T A does not change when A is scaled, so its
+stationary values under C A = mu are those of the Rayleigh quotient of Delta
+on V = {A : C A parallel to mu}, the null space of C plus the minimum-norm
+interpolant p.  The rows of W, the frame's f null-space rows followed by
+p/||mu~||, are an orthonormal basis of V, and all N+2-M stationary yields
+are the eigenvalues of the symmetric (f+1)x(f+1) matrix
 
-    s(Y) = q - Y*||mu~||^2 - g^T (Delta_free - Y)^-1 g,   g = Gamma*mu~,
+    K = W Delta W^T = [[Delta_free, g/||mu~||], [g^T/||mu~||, q/||mu~||^2]],
 
-with q the fixed-block quadratic form.  s(Y)/||mu~||^2 is the Schur
-complement of the symmetric bordered matrix
+Delta_free the overlap of the free directions, g their coupling to p and q
+the energy p^T Delta p in the domain.  Its Schur complement s(Y)/||mu~||^2,
 
-    K = [[Delta_free, g/||mu~||], [g^T/||mu~||, q/||mu~||^2]],
+    s(Y) = q - Y*||mu~||^2 - g^T (Delta_free - Y)^-1 g,
 
-so all N+2-M roots and their eigenvectors z = (z_free, z_last) come from one
-symmetric eigensolve; x = z_free*||mu~||/z_last solves (Delta_free - Y) x = -g
-for the signal's free part.  A vanishing z_last marks a free direction
-decoupled from the constraints (deflation): only such a root takes an LU
-solve.  secular_spectrum solves K by tridiagonalization, implicit QL and
-tridiagonal inverse iteration (_eigensystem); jacobi_spectrum, the
-independent cross-check, with cyclic Jacobi rotations on the same K.
+is the secular function.  An eigenvector z = (z_free, z_last) scaled to meet
+the constraints gives the signal's free part x = z_free*||mu~||/z_last,
+which solves (Delta_free - Y) x = -g.  A vanishing z_last marks a free
+direction decoupled from the constraints (deflation): only such a root
+takes an LU solve.  secular_spectrum solves K by tridiagonalization,
+implicit QL and tridiagonal inverse iteration (_eigensystem);
+jacobi_spectrum, the independent cross-check, with cyclic Jacobi rotations
+on the same K.
 """
 
 import warnings
@@ -34,23 +38,6 @@ from .signals import FourierCosineSignal
 
 
 @dataclass(frozen=True)
-class BlockDecomposition:
-    """Overlap matrix in frame coordinates, split around the constraint block."""
-
-    delta_free: object   # (N+1-M) x (N+1-M)
-    gamma: object        # (N+1-M) x M
-    delta_fixed: object  # M x M
-
-    @property
-    def free_dim(self):
-        return self.delta_free.rows
-
-    @property
-    def m(self):
-        return self.delta_fixed.rows
-
-
-@dataclass(frozen=True)
 class GeneralizedSpectrum:
     """All stationary yields with their reconstructed signals, ascending."""
 
@@ -63,59 +50,54 @@ class GeneralizedSpectrum:
         return len(self.eigenvalues)
 
 
-def rotate_and_partition(delta: OverlapMatrix, frame: RotatedFrame,
-                         ctx: Context = FAST) -> BlockDecomposition:
-    """Rotate the overlap matrix into frame coordinates and split in blocks."""
+def _bordered(delta: OverlapMatrix, frame: RotatedFrame):
+    """K = W Delta W^T and ||mu~||, at the caller's precision.
+
+    W's rows are the frame's f null-space rows followed by p/||mu~||, p the
+    minimum-norm interpolant: one W*Delta product, then K's upper triangle
+    by fdot, mirrored so that K is exactly symmetric.
+    """
     if delta.n != frame.n:
         raise ValueError(
             "overlap matrix band limit %d does not match frame band limit %d"
             % (delta.n, frame.n)
         )
-    with ctx.workprec():
-        rotated = frame.rotation * delta.entries * frame.rotation.T
-        f = frame.free_dim
-        size = delta.n + 1
-        return BlockDecomposition(
-            delta_free=rotated[0:f, 0:f],
-            gamma=rotated[0:f, f:size],
-            delta_fixed=rotated[f:size, f:size],
-        )
-
-
-def _coupling(blocks: BlockDecomposition, frame: RotatedFrame):
-    """g = Gamma*mu~, q = mu~^T Delta_fixed mu~ and ||mu~||^2 of a matching frame."""
-    if blocks.free_dim != frame.free_dim or blocks.m != frame.m:
-        raise ValueError("block decomposition does not match the frame")
-    g = blocks.gamma * frame.mu_tilde
-    q_fixed = (frame.mu_tilde.T * (blocks.delta_fixed * frame.mu_tilde))[0]
-    norm_sq = (frame.mu_tilde.T * frame.mu_tilde)[0]
-    if norm_sq == 0:
+    norm = mp.sqrt(mp.fdot(frame.mu_tilde, frame.mu_tilde))
+    if norm == 0:
         raise ValueError("constraint targets are all zero")
-    return g, q_fixed, norm_sq
+    f = frame.free_dim
+    w = frame.rotation[0:f, :].tolist() + [[c / norm for c in frame.particular_solution()]]
+    columns = delta.entries.tolist()  # Delta is symmetric: its rows are its columns
+    wd = [[mp.fdot(row, col) for col in columns] for row in w]
+    bordered = mp.zeros(f + 1, f + 1)
+    for i in range(f + 1):
+        for j in range(i, f + 1):
+            bordered[i, j] = bordered[j, i] = mp.fdot(wd[i], w[j])
+    return bordered, norm
 
 
-def _reconstruct(y, z, coupling, blocks, frame, ctx):
+def _reconstruct(y, z, bordered, norm, frame, ctx):
     """Free part, signal, residuals and deflation flag for one root y.
 
-    The free part solves (Delta_free - y) x = -g: by the first block row of
-    K z = y z it is z_free ||mu~||/z_last, z the unit bordered eigenvector
-    of y.  A deflated root, whose vanishing z_last makes y an eigenvalue of
-    Delta_free with eigenvector z_free decoupled from g, takes an LU solve:
-    adding z_free z_free^T lifts that direction and leaves the minimum-norm
-    free part, orthogonal to it.  (A unit z with z_last = 0 has f >= 1.)
+    The free part solves (Delta_free - y) x = -g, Delta_free = K[0:f, 0:f]
+    and g = ||mu~|| K[0:f, f]: by the first block row of K z = y z it is
+    z_free ||mu~||/z_last, z the unit bordered eigenvector of y.  A deflated
+    root, whose vanishing z_last makes y an eigenvalue of Delta_free with
+    eigenvector z_free decoupled from g, takes an LU solve: adding
+    z_free z_free^T lifts that direction and leaves the minimum-norm free
+    part, orthogonal to it.  (A unit z with z_last = 0 has f >= 1.)
     """
-    f = blocks.free_dim
-    g, q_fixed, norm_sq = coupling
+    f = frame.free_dim
     deflated = abs(z[f]) <= ctx.bracket_rtol
     if not deflated:
-        free_part = z[0:f, 0] * (mp.sqrt(norm_sq) / z[f])  # z[0:f] is 1x0 at f = 0
+        free_part = z[0:f, 0] * (norm / z[f])  # z[0:f] is 1x0 at f = 0
     else:
-        system = blocks.delta_free - y * mp.eye(f) + z[0:f] * z[0:f].T
+        system = bordered[0:f, 0:f] - y * mp.eye(f) + z[0:f] * z[0:f].T
         try:
-            free_part = mp.lu_solve(system, -g)
+            free_part = mp.lu_solve(system, -norm * bordered[0:f, f])
             # a free part past the deflation threshold ||mu~||/bracket_rtol:
             # the lift left a coupled free-block eigenvalue at y
-            if mp.norm(free_part) * ctx.bracket_rtol > mp.sqrt(norm_sq):
+            if mp.norm(free_part) * ctx.bracket_rtol > norm:
                 raise ZeroDivisionError
         except ZeroDivisionError as exc:
             raise SolverFailure(
@@ -125,12 +107,13 @@ def _reconstruct(y, z, coupling, blocks, frame, ctx):
             ) from exc
     coeffs = frame.assemble(free_part)
     signal = FourierCosineSignal(band_limit=frame.n, coeffs=tuple(coeffs))
-    stationarity = blocks.delta_free * free_part - y * free_part + g
-    residual = mp.sqrt((stationarity.T * stationarity)[0])
-    # last row of the bordered system, which a deflated root (z_last = 0)
-    # satisfies for any free part
-    secular = mpf(0) if deflated else \
-        abs(q_fixed - y * norm_sq + (g.T * free_part)[0])
+    # r = (K - y) u with u = (x, ||mu~||): its first f rows are the
+    # stationarity residual, its last the secular one over ||mu~||, which a
+    # deflated root (z_last = 0) satisfies for any free part
+    u = list(free_part) + [norm]
+    r = [mp.fdot(row, u) - y * ui for row, ui in zip(bordered.tolist(), u)]
+    residual = mp.sqrt(mp.fdot(r[0:f], r[0:f]))
+    secular = mpf(0) if deflated else norm * abs(r[f])
     return free_part, signal, residual, secular, deflated
 
 
@@ -141,11 +124,11 @@ def _warn_below_floor(smallest, ctx, stacklevel):
                       PrecisionWarning, stacklevel=stacklevel)
 
 
-def _finalize(roots, vectors, coupling, blocks, frame, method, ctx):
+def _finalize(roots, vectors, bordered, norm, frame, method, ctx):
     """Check the roots and reconstruct their signals.
 
     roots ascend, vectors holds the unit bordered eigenvector of each root
-    as an (f+1)x1 matrix, and coupling is _coupling(blocks, frame).
+    as an (f+1)x1 matrix; bordered and norm are _bordered(delta, frame).
     """
     expected = frame.free_dim + 1
     if len(roots) != expected:
@@ -166,7 +149,7 @@ def _finalize(roots, vectors, coupling, blocks, frame, method, ctx):
                 "degenerate generalized eigenvalues at working precision",
                 diagnostics={"roots": roots},
             )
-    parts = [_reconstruct(y, z, coupling, blocks, frame, ctx)
+    parts = [_reconstruct(y, z, bordered, norm, frame, ctx)
              for y, z in zip(roots, vectors)]
     free_parts, signals, stationarity, sec_res, defl_flags = zip(*parts)
     _warn_below_floor(roots[0], ctx, stacklevel=4)
@@ -182,19 +165,6 @@ def _finalize(roots, vectors, coupling, blocks, frame, method, ctx):
             "deflated": defl_flags,
         },
     )
-
-
-def _bordered(blocks: BlockDecomposition, frame: RotatedFrame):
-    """The bordered matrix K and _coupling(blocks, frame), at the caller's precision."""
-    coupling = g, q_fixed, norm_sq = _coupling(blocks, frame)
-    f = blocks.free_dim
-    norm = mp.sqrt(norm_sq)
-    bordered = mp.zeros(f + 1, f + 1)
-    bordered[0:f, 0:f] = blocks.delta_free
-    for i in range(f):
-        bordered[i, f] = bordered[f, i] = g[i] / norm
-    bordered[f, f] = q_fixed / norm_sq
-    return bordered, coupling
 
 
 def _eigensystem(matrix):
@@ -262,19 +232,18 @@ def _eigensystem(matrix):
     return values, vectors
 
 
-def secular_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
+def secular_spectrum(delta: OverlapMatrix, frame: RotatedFrame,
                      ctx: Context = FAST) -> GeneralizedSpectrum:
     """All N+2-M generalized eigenvalues from one bordered eigensolve.
 
-    The roots of s(Y) are the eigenvalues of the symmetric (f+1)x(f+1)
-    matrix K = [[Delta_free, g/||mu~||], [g^T/||mu~||, q/||mu~||^2]]:
+    The roots of s(Y) are the eigenvalues of K = W Delta W^T:
     det(K - Y) = det(Delta_free - Y) * s(Y) / ||mu~||^2.
     """
     with ctx.workprec():
-        bordered, coupling = _bordered(blocks, frame)
+        bordered, norm = _bordered(delta, frame)
         roots, vectors = _eigensystem(bordered)
         return _finalize(roots, [mp.matrix(z) for z in vectors],
-                         coupling, blocks, frame, "secular", ctx)
+                         bordered, norm, frame, "secular", ctx)
 
 
 # Tests reach at most 17 sweeps (N=20, M=3 on (-1, 1) at 100 digits, order
@@ -283,7 +252,7 @@ def secular_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
 JACOBI_MAX_SWEEPS = 40
 
 
-def jacobi_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
+def jacobi_spectrum(delta: OverlapMatrix, frame: RotatedFrame,
                     ctx: Context = FAST) -> GeneralizedSpectrum:
     """Cross-check path: the same K as secular_spectrum, by cyclic Jacobi.
 
@@ -295,7 +264,7 @@ def jacobi_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
     without a rotation.
     """
     with ctx.workprec():
-        bordered, coupling = _bordered(blocks, frame)
+        bordered, norm = _bordered(delta, frame)
         a, basis = bordered.tolist(), mp.eye(bordered.rows).tolist()  # basis rows: vectors
         size, tol = len(a), mpf(2) ** -mp.prec
         for _ in range(JACOBI_MAX_SWEEPS):
@@ -330,7 +299,7 @@ def jacobi_spectrum(blocks: BlockDecomposition, frame: RotatedFrame,
             )
         order = sorted(range(size), key=lambda k: a[k][k])
         return _finalize([a[k][k] for k in order], [mp.matrix(basis[k]) for k in order],
-                         coupling, blocks, frame, "jacobi", ctx)
+                         bordered, norm, frame, "jacobi", ctx)
 
 
 def fk_min_energy_signal(frame: RotatedFrame, ctx: Context = FAST) -> FourierCosineSignal:

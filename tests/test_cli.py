@@ -256,6 +256,22 @@ class TestSweep:
         code, _ = run_cli(tmp_path, "sweep", "-n", "5", "-m", "3")
         assert code == 2
 
+    def test_repeated_radius_exits_2(self, tmp_path, capsys):
+        # a repeated radius would leave the slope fit no spread to divide by
+        code, text = run_cli(tmp_path, "sweep", "-n", "4", "-m", "2",
+                             "--a-values", "0.5,0.5")
+        assert code == 2
+        assert text == ""
+        assert "error: interval radii must be pairwise distinct" in capsys.readouterr().err
+
+    def test_repeated_constraint_count_exits_2(self, tmp_path, capsys):
+        # a repeated count would print its rows twice
+        code, text = run_cli(tmp_path, "sweep", "-n", "4", "-m", "2",
+                             "--interval", "0.5", "--m-values", "2,2")
+        assert code == 2
+        assert text == ""
+        assert "error: constraint counts must be pairwise distinct" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_byte_identical_documents(self, tmp_path):

@@ -1,9 +1,12 @@
-"""The README's library quickstart runs and prints what its comments state."""
+"""The README's library quickstart runs and prints what its comments state,
+and the lower-level pieces it names are public."""
 
 import contextlib
 import io
 import pathlib
 import re
+
+import superosc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -28,3 +31,11 @@ def test_quickstart_prints_the_stated_values():
     assert len(ladder) == 6  # N+2-M eigenvalues, ascending
     assert (ladder[0], ladder[-1]) == ("1.18922e-23", "0.00232992")
     assert constraint_value == "-1.0"
+
+
+def test_lower_level_pieces_are_public():
+    text = (ROOT / "README.md").read_text()
+    paragraph = re.search(r"Lower-level pieces \(.*?\n\n", text, re.S).group(0)
+    names = re.findall(r"`(\w+)`", paragraph)
+    assert "secular_spectrum" in names
+    assert [name for name in names if name not in superosc.__all__] == []

@@ -10,9 +10,9 @@ from mpmath import mp, mpf
 
 from superosc import solver
 from superosc import (
-    BlockDecomposition,
     Context,
     Domain,
+    OverlapMatrix,
     PrecisionWarning,
     RankDeficientConstraints,
     RotatedFrame,
@@ -25,7 +25,6 @@ from superosc import (
     orthonormal_frame,
     jacobi_spectrum,
     overlap_matrix,
-    rotate_and_partition,
     secular_spectrum,
     slepian_modes,
     symmetrize_domain,
@@ -49,8 +48,7 @@ def build_problem(n, m, domain, ctx, seed=0):
     cm = constraint_matrix(cs, n, ctx)
     frame = orthonormal_frame(cm, cs.values, completion_seed=seed, ctx=ctx)
     delta = overlap_matrix(domain, n, ctx)
-    blocks = rotate_and_partition(delta, frame, ctx)
-    return cs, cm, frame, delta, blocks
+    return cs, cm, frame, delta
 
 
 def _cinterval(domain):
@@ -58,62 +56,103 @@ def _cinterval(domain):
     return (mpf(0) if lo < 0 < hi else lo), hi
 
 
-class TestRotatePartition:
+def frame_blocks(delta, frame, ctx):
+    """Delta_free, Gamma and Delta_fixed of R Delta R^T, R the frame's rotation.
+
+    The whole overlap matrix turned into the frame and cut in blocks: the
+    oracles' input, formed independently of the solver's K.
+    """
+    with ctx.workprec():
+        rotated = frame.rotation * delta.entries * frame.rotation.T
+    f, size = frame.free_dim, delta.n + 1
+    return rotated[0:f, 0:f], rotated[0:f, f:size], rotated[f:size, f:size]
+
+
+def hand_built(delta_free, gamma, delta_fixed):
+    """Overlap [[Delta_free, Gamma], [Gamma^T, Delta_fixed]] of order 3 from
+    decimal-string blocks, and the one-constraint identity frame (W = I, so
+    K is the overlap itself)."""
+    rows = [a + b for a, b in zip(delta_free, gamma)]
+    rows.append([g[0] for g in gamma] + delta_fixed[0])
+    with CTX.workprec():
+        delta = OverlapMatrix(n=2, entries=mp.matrix(rows), domain=None)
+        frame = RotatedFrame(rotation=mp.eye(3), free_dim=2,
+                             mu_tilde=mp.matrix([mpf(1)]), completion_seed=0,
+                             points=(mpf(0),), values=(mpf(1),))
+    return delta, frame
+
+
+class TestBordered:
+    """solver._bordered, the K = W Delta W^T both solvers decompose."""
+
     def test_identity_overlap_stays_identity(self):
         domain = Domain(((-mp.pi, mp.pi),))
-        _, _, frame, delta, blocks = build_problem(7, 3, domain, CTX)
-        f = blocks.free_dim
-        for i in range(f):
-            for j in range(f):
-                assert abs(blocks.delta_free[i, j] - (1 if i == j else 0)) < 1e-12
-        for i in range(f):
-            for j in range(3):
-                assert abs(blocks.gamma[i, j]) < 1e-12
-        for i in range(3):
-            for j in range(3):
-                assert abs(blocks.delta_fixed[i, j] - (1 if i == j else 0)) < 1e-12
+        _, _, frame, delta = build_problem(7, 3, domain, CTX)
+        with CTX.workprec():
+            k, _ = solver._bordered(delta, frame)
+        assert k.rows == k.cols == 6  # f + 1
+        for i in range(6):
+            for j in range(6):
+                assert abs(k[i, j] - (1 if i == j else 0)) < 1e-12
 
     def test_saturated_constraints_leave_no_free_block(self):
         domain = symmetrize_domain(0, 1)
-        _, _, frame, delta, blocks = build_problem(5, 6, domain, CTX)
-        assert blocks.free_dim == 0
-        assert blocks.delta_fixed.rows == 6
+        _, _, frame, delta = build_problem(5, 6, domain, CTX)
+        with CTX.workprec():
+            k, _ = solver._bordered(delta, frame)
+        assert frame.free_dim == 0
+        assert k.rows == k.cols == 1
 
-    def test_blocks_symmetric(self):
+    def test_exactly_symmetric(self):
         domain = symmetrize_domain(0, "1.3")
-        _, _, frame, delta, blocks = build_problem(9, 4, domain, CTX)
-        f = blocks.free_dim
-        worst = max(abs(blocks.delta_free[i, j] - blocks.delta_free[j, i])
-                    for i in range(f) for j in range(f))
-        assert worst < 1e-25
+        _, _, frame, delta = build_problem(9, 4, domain, CTX)
+        with CTX.workprec():
+            k, _ = solver._bordered(delta, frame)
+        assert all(k[i, j] == k[j, i] for i in range(k.rows) for j in range(k.rows))
+
+    def test_matches_w_delta_w_transpose(self):
+        # W: the frame's null-space rows, then the minimum-norm interpolant
+        # over its norm ||mu~||
+        domain = symmetrize_domain(0, "0.8")
+        _, _, frame, delta = build_problem(10, 4, domain, CTX30)
+        f = frame.free_dim
+        with CTX30.workprec():
+            k, norm = solver._bordered(delta, frame)
+            assert abs(norm - mp.norm(frame.mu_tilde)) < mpf("1e-30") * norm
+            w = frame.rotation[0:f + 1, :]
+            w[f, :] = frame.particular_solution() / norm
+            reference = w * delta.entries * w.T
+            worst = max(abs(k[i, j] - reference[i, j])
+                        for i in range(f + 1) for j in range(f + 1))
+        assert worst < mpf("1e-30")
 
     def test_dimension_mismatch_rejected(self):
         domain = symmetrize_domain(0, 1)
-        _, _, frame, _, _ = build_problem(6, 3, domain, CTX)
+        _, _, frame, _ = build_problem(6, 3, domain, CTX)
         other = overlap_matrix(domain, 8, CTX)
-        with pytest.raises(ValueError):
-            rotate_and_partition(other, frame, CTX)
+        with pytest.raises(ValueError, match="band limit 8 does not match"):
+            secular_spectrum(other, frame, CTX)
 
 
 class TestSecularSpectrum:
     def test_root_count(self):
         domain = symmetrize_domain(0, 1)
-        _, _, frame, _, blocks = build_problem(10, 5, domain, CTX30)
-        spec = secular_spectrum(blocks, frame, CTX30)
+        _, _, frame, delta = build_problem(10, 5, domain, CTX30)
+        spec = secular_spectrum(delta, frame, CTX30)
         assert len(spec) == 7  # N+2-M
 
     def test_eigenvalues_ascending_in_unit_interval(self):
         domain = symmetrize_domain(0, "1.4")
-        _, _, frame, _, blocks = build_problem(8, 4, domain, CTX30)
-        spec = secular_spectrum(blocks, frame, CTX30)
+        _, _, frame, delta = build_problem(8, 4, domain, CTX30)
+        spec = secular_spectrum(delta, frame, CTX30)
         vals = spec.eigenvalues
         assert all(0 < v < 1 for v in vals)
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_saturated_case_matches_direct_solve(self):
         domain = symmetrize_domain(0, "1.2")
-        cs, cm, frame, delta, blocks = build_problem(4, 5, domain, CTX30)
-        spec = secular_spectrum(blocks, frame, CTX30)
+        cs, cm, frame, delta = build_problem(4, 5, domain, CTX30)
+        spec = secular_spectrum(delta, frame, CTX30)
         assert len(spec) == 1
         with CTX30.workprec():
             a = mp.lu_solve(cm.entries, mp.matrix(cs.values))
@@ -122,8 +161,8 @@ class TestSecularSpectrum:
 
     def test_stationarity_residuals_small(self):
         domain = symmetrize_domain(0, 1)
-        _, _, frame, _, blocks = build_problem(9, 4, domain, CTX30)
-        spec = secular_spectrum(blocks, frame, CTX30)
+        _, _, frame, delta = build_problem(9, 4, domain, CTX30)
+        spec = secular_spectrum(delta, frame, CTX30)
         for res, fp in zip(spec.diagnostics["stationarity_residuals"],
                            spec.free_parts):
             with CTX30.workprec():
@@ -132,8 +171,8 @@ class TestSecularSpectrum:
 
     def test_yield_consistency(self):
         domain = symmetrize_domain(0, 1)
-        _, _, frame, delta, blocks = build_problem(9, 4, domain, CTX30)
-        spec = secular_spectrum(blocks, frame, CTX30)
+        _, _, frame, delta = build_problem(9, 4, domain, CTX30)
+        spec = secular_spectrum(delta, frame, CTX30)
         with CTX30.workprec():
             for lam, sig in zip(spec.eigenvalues, spec.signals):
                 vec = mp.matrix(sig.coeffs)
@@ -143,8 +182,8 @@ class TestSecularSpectrum:
     def test_constraint_satisfaction(self):
         from superosc import evaluate
         domain = symmetrize_domain(0, "0.9")
-        cs, _, frame, _, blocks = build_problem(10, 6, domain, CTX30)
-        spec = secular_spectrum(blocks, frame, CTX30)
+        cs, _, frame, delta = build_problem(10, 6, domain, CTX30)
+        spec = secular_spectrum(delta, frame, CTX30)
         for sig in spec.signals:
             for t, v in zip(cs.points, cs.values):
                 assert abs(evaluate(sig, t, CTX30) - v) < mpf("1e-15")
@@ -161,8 +200,8 @@ class TestSecularSpectrum:
 
     def test_small_instance_matches_ascent_oracle(self):
         domain = symmetrize_domain(0, 1)
-        cs, cm, frame, delta, blocks = build_problem(5, 3, domain, CTX)
-        spec = secular_spectrum(blocks, frame, CTX)
+        cs, cm, frame, delta = build_problem(5, 3, domain, CTX)
+        spec = secular_spectrum(delta, frame, CTX)
         reference = projected_ascent_max_float(
             mpf_matrix_to_numpy(delta.entries),
             mpf_matrix_to_numpy(cm.entries),
@@ -178,22 +217,14 @@ class TestSecularSpectrum:
         cm = constraint_matrix(cs, 6, CTX)
         frame = orthonormal_frame(cm, (0, 0, 0), completion_seed=0, ctx=CTX)
         delta = overlap_matrix(domain, 6, CTX)
-        blocks = rotate_and_partition(delta, frame, CTX)
-        with pytest.raises(ValueError):
-            secular_spectrum(blocks, frame, CTX)
-
-    def test_frame_blocks_mismatch_rejected(self):
-        domain = symmetrize_domain(0, 1)
-        _, _, frame, _, _ = build_problem(6, 3, domain, CTX)
-        _, _, _, _, other_blocks = build_problem(6, 4, domain, CTX)
-        with pytest.raises(ValueError):
-            secular_spectrum(other_blocks, frame, CTX)
+        with pytest.raises(ValueError, match="targets are all zero"):
+            secular_spectrum(delta, frame, CTX)
 
     def test_trust_floor_warning(self):
         domain = symmetrize_domain(0, 1)
-        _, _, frame, _, blocks = build_problem(10, 6, domain, CTX)
+        _, _, frame, delta = build_problem(10, 6, domain, CTX)
         with pytest.warns(PrecisionWarning):
-            secular_spectrum(blocks, frame, CTX)
+            secular_spectrum(delta, frame, CTX)
 
 
 class TestSaturatedConstraints:
@@ -239,8 +270,8 @@ class TestFreeBasisInvariance:
         # replace Q_f by Q_f U for a random orthogonal U: the spectrum and
         # the signals depend only on the null space, not on its basis
         domain = symmetrize_domain(0, 1)
-        _, _, frame, delta, blocks = build_problem(9, 4, domain, CTX30)
-        spec = secular_spectrum(blocks, frame, CTX30)
+        _, _, frame, delta = build_problem(9, 4, domain, CTX30)
+        spec = secular_spectrum(delta, frame, CTX30)
         f = frame.free_dim
         rng = random.Random(7)
         with CTX30.workprec():
@@ -251,8 +282,7 @@ class TestFreeBasisInvariance:
         turned = RotatedFrame(rotation=rotation, free_dim=f,
                               mu_tilde=frame.mu_tilde, completion_seed=1,
                               points=frame.points, values=frame.values)
-        other = secular_spectrum(rotate_and_partition(delta, turned, CTX30),
-                                 turned, CTX30)
+        other = secular_spectrum(delta, turned, CTX30)
         assert len(other) == len(spec) == 7
         for a, b in zip(spec.eigenvalues, other.eigenvalues):
             assert abs(a - b) / a < 1e-24
@@ -281,15 +311,15 @@ class TestBorderedMatchesSecular:
     def test_eigenvalues_are_roots_of_secular_function(self, nm, hundredths):
         n, m = nm
         domain = symmetrize_domain(0, "%.2f" % (hundredths / 100))
-        _, _, frame, _, blocks = build_problem(n, m, domain, CTX40)
-        spec = secular_spectrum(blocks, frame, CTX40)
+        _, _, frame, delta = build_problem(n, m, domain, CTX40)
+        spec = secular_spectrum(delta, frame, CTX40)
         vals = spec.eigenvalues
         assert len(vals) == n + 2 - m
         assert all(0 < v < 1 for v in vals)
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert vals[0] > CTX40.trust_floor
-        s = secular_equation(blocks.delta_free, blocks.gamma,
-                             blocks.delta_fixed, frame.mu_tilde,
+        delta_free, gamma, delta_fixed = frame_blocks(delta, frame, CTX40)
+        s = secular_equation(delta_free, gamma, delta_fixed, frame.mu_tilde,
                              dps=CTX40.digits + 40)
         for y, deflated in zip(vals, spec.diagnostics["deflated"]):
             if not deflated:
@@ -312,39 +342,40 @@ class TestFreePartFromEigenvector:
     def test_matches_lu_solve_of_stationarity_system(self, nm, hundredths):
         n, m = nm
         domain = symmetrize_domain(0, "%.2f" % (hundredths / 100))
-        _, _, frame, _, blocks = build_problem(n, m, domain, CTX40)
+        _, _, frame, delta = build_problem(n, m, domain, CTX40)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PrecisionWarning)
-            spec = secular_spectrum(blocks, frame, CTX40)
+            spec = secular_spectrum(delta, frame, CTX40)
+        delta_free, gamma, delta_fixed = frame_blocks(delta, frame, CTX40)
         for y, x, deflated in zip(spec.eigenvalues, spec.free_parts,
                                   spec.diagnostics["deflated"]):
             if deflated:
                 continue
-            ref = stationary_free_part(blocks.delta_free, blocks.gamma,
-                                       blocks.delta_fixed, frame.mu_tilde, y, 80)
+            ref = stationary_free_part(delta_free, gamma, delta_fixed,
+                                       frame.mu_tilde, y, 80)
             with mp.workdps(80):
                 assert mp.norm(x - ref) <= CTX40.eps / y * mp.norm(ref)
 
     def test_lu_solves_only_for_deflated_roots(self, monkeypatch):
-        _, _, frame, _, blocks = build_problem(10, 6, symmetrize_domain(0, 1), CTX30)
+        _, _, frame, delta = build_problem(10, 6, symmetrize_domain(0, 1), CTX30)
         calls = []
         lu_solve = mp.lu_solve
         monkeypatch.setattr(mp, "lu_solve",
                             lambda *args: calls.append(args) or lu_solve(*args))
-        assert len(secular_spectrum(blocks, frame, CTX30)) == 6
+        assert len(secular_spectrum(delta, frame, CTX30)) == 6
         assert calls == []
-        # TestDeflation's hand-built blocks: the decoupled pole is the one
+        # TestDeflation's hand-built overlap: the decoupled pole is the one
         # deflated root
         TestDeflation().test_decoupled_pole_becomes_root()
         assert len(calls) == 1
 
     def test_no_eigsy_calls(self, monkeypatch):
-        _, _, frame, _, blocks = build_problem(10, 6, symmetrize_domain(0, 1), CTX30)
+        _, _, frame, delta = build_problem(10, 6, symmetrize_domain(0, 1), CTX30)
         calls = []
         eigsy = mp.eigsy
         monkeypatch.setattr(mp, "eigsy",
                             lambda *args, **kw: calls.append(args) or eigsy(*args, **kw))
-        assert len(secular_spectrum(blocks, frame, CTX30)) == 6
+        assert len(secular_spectrum(delta, frame, CTX30)) == 6
         TestDeflation().test_decoupled_pole_becomes_root()
         assert calls == []
 
@@ -367,21 +398,10 @@ class TestDeflation:
         # Active part: s(Y) = 0.2 - Y - 0.01/(0.3 - Y), whose roots solve
         # Y^2 - 0.5Y + 0.05 = 0 -> (0.5 +- sqrt(0.05))/2 by the quadratic
         # formula; the decoupled pole 0.6 joins them as a root.
+        delta, frame = hand_built([["0.3", "0"], ["0", "0.6"]],
+                                  [["0.1"], ["0"]], [["0.2"]])
+        spec = secular_spectrum(delta, frame, CTX)
         with CTX.workprec():
-            blocks = BlockDecomposition(
-                delta_free=mp.matrix([["0.3", "0"], ["0", "0.6"]]),
-                gamma=mp.matrix([["0.1"], ["0"]]),
-                delta_fixed=mp.matrix([["0.2"]]),
-            )
-            frame = RotatedFrame(
-                rotation=mp.eye(3),
-                free_dim=2,
-                mu_tilde=mp.matrix([mpf(1)]),
-                completion_seed=0,
-                points=(mpf(0),),
-                values=(mpf(1),),
-            )
-            spec = secular_spectrum(blocks, frame, CTX)
             expected = sorted([
                 (mpf("0.5") - mp.sqrt(mpf("0.05"))) / 2,
                 (mpf("0.5") + mp.sqrt(mpf("0.05"))) / 2,
@@ -396,22 +416,10 @@ class TestDeflation:
 class TestDegenerateFailure:
     def test_coincident_poles_raise(self):
         from superosc import SolverFailure
-        with CTX.workprec():
-            blocks = BlockDecomposition(
-                delta_free=mp.matrix([["0.4", "0"], ["0", "0.4"]]),
-                gamma=mp.matrix([["0.05"], ["0.05"]]),
-                delta_fixed=mp.matrix([["0.3"]]),
-            )
-            frame = RotatedFrame(
-                rotation=mp.eye(3),
-                free_dim=2,
-                mu_tilde=mp.matrix([mpf(1)]),
-                completion_seed=0,
-                points=(mpf(0),),
-                values=(mpf(1),),
-            )
-            with pytest.raises(SolverFailure):
-                secular_spectrum(blocks, frame, CTX)
+        delta, frame = hand_built([["0.4", "0"], ["0", "0.4"]],
+                                  [["0.05"], ["0.05"]], [["0.3"]])
+        with pytest.raises(SolverFailure):
+            secular_spectrum(delta, frame, CTX)
 
 
 def random_symmetric(order, kind, rng):
@@ -474,25 +482,13 @@ class TestEigensystem:
             assert all(abs(y - x) <= tol for y, x in zip(values, exact))
 
 
-def hand_built(delta_free, gamma, delta_fixed):
-    """Blocks and a one-constraint identity frame from decimal-string rows."""
-    with CTX.workprec():
-        blocks = BlockDecomposition(delta_free=mp.matrix(delta_free),
-                                    gamma=mp.matrix(gamma),
-                                    delta_fixed=mp.matrix(delta_fixed))
-        frame = RotatedFrame(rotation=mp.eye(3), free_dim=2,
-                             mu_tilde=mp.matrix([mpf(1)]), completion_seed=0,
-                             points=(mpf(0),), values=(mpf(1),))
-    return blocks, frame
-
-
 class TestJacobiSpectrum:
     def test_agrees_with_secular(self):
         ctx = Context(100)
         domain = symmetrize_domain(0, 1)
-        _, _, frame, _, blocks = build_problem(6, 3, domain, ctx)
-        sec = secular_spectrum(blocks, frame, ctx)
-        jac = jacobi_spectrum(blocks, frame, ctx)
+        _, _, frame, delta = build_problem(6, 3, domain, ctx)
+        sec = secular_spectrum(delta, frame, ctx)
+        jac = jacobi_spectrum(delta, frame, ctx)
         assert len(sec) == len(jac) == 5
         for a, b in zip(sec.eigenvalues, jac.eigenvalues):
             assert abs(a - b) / a < 1e-6
@@ -500,23 +496,23 @@ class TestJacobiSpectrum:
     def test_degree_equals_root_count(self):
         ctx = Context(100)
         domain = symmetrize_domain(0, 1)
-        _, _, frame, _, blocks = build_problem(10, 5, domain, ctx)
-        jac = jacobi_spectrum(blocks, frame, ctx)
+        _, _, frame, delta = build_problem(10, 5, domain, ctx)
+        jac = jacobi_spectrum(delta, frame, ctx)
         assert len(jac) == 7
 
     def test_saturated_case_single_root(self):
         domain = symmetrize_domain(0, 1)
-        _, _, frame, _, blocks = build_problem(3, 4, domain, CTX30)
-        jac = jacobi_spectrum(blocks, frame, CTX30)
-        sec = secular_spectrum(blocks, frame, CTX30)
+        _, _, frame, delta = build_problem(3, 4, domain, CTX30)
+        jac = jacobi_spectrum(delta, frame, CTX30)
+        sec = secular_spectrum(delta, frame, CTX30)
         assert len(jac) == 1
         assert abs(jac.eigenvalues[0] - sec.eigenvalues[0]) < 1e-30
 
     def test_decoupled_pole_becomes_deflated_root(self):
-        # TestDeflation's blocks: roots (0.5 +- sqrt(0.05))/2 and the pole 0.6
-        blocks, frame = hand_built([["0.3", "0"], ["0", "0.6"]],
-                                   [["0.1"], ["0"]], [["0.2"]])
-        spec = jacobi_spectrum(blocks, frame, CTX)
+        # TestDeflation's overlap: roots (0.5 +- sqrt(0.05))/2 and the pole 0.6
+        delta, frame = hand_built([["0.3", "0"], ["0", "0.6"]],
+                                  [["0.1"], ["0"]], [["0.2"]])
+        spec = jacobi_spectrum(delta, frame, CTX)
         with CTX.workprec():
             expected = sorted([(mpf("0.5") - mp.sqrt(mpf("0.05"))) / 2,
                                (mpf("0.5") + mp.sqrt(mpf("0.05"))) / 2,
@@ -527,12 +523,12 @@ class TestJacobiSpectrum:
         assert spec.diagnostics["deflated"] == (False, False, True)
 
     def test_coincident_poles_raise(self):
-        # TestDegenerateFailure's blocks
+        # TestDegenerateFailure's overlap
         from superosc import SolverFailure
-        blocks, frame = hand_built([["0.4", "0"], ["0", "0.4"]],
-                                   [["0.05"], ["0.05"]], [["0.3"]])
+        delta, frame = hand_built([["0.4", "0"], ["0", "0.4"]],
+                                  [["0.05"], ["0.05"]], [["0.3"]])
         with pytest.raises(SolverFailure):
-            jacobi_spectrum(blocks, frame, CTX)
+            jacobi_spectrum(delta, frame, CTX)
 
     def test_matches_secular_at_n20(self):
         # the smallest of the 19 roots is 2.2e-47; measured agreement is
@@ -555,7 +551,7 @@ class TestJacobiSpectrum:
 class TestBaselines:
     def test_fk_energy_equals_mu_tilde_norm(self):
         domain = symmetrize_domain(0, 1)
-        _, _, frame, _, _ = build_problem(10, 5, domain, CTX30)
+        _, _, frame, _ = build_problem(10, 5, domain, CTX30)
         fk = fk_min_energy_signal(frame, CTX30)
         with CTX30.workprec():
             norm_sq = (frame.mu_tilde.T * frame.mu_tilde)[0]
@@ -564,7 +560,7 @@ class TestBaselines:
 
     def test_fk_matches_normal_equations_oracle(self):
         domain = symmetrize_domain(0, 1)
-        cs, cm, frame, _, _ = build_problem(10, 5, domain, CTX30)
+        cs, cm, frame, _ = build_problem(10, 5, domain, CTX30)
         fk = fk_min_energy_signal(frame, CTX30)
         reference = min_norm_interpolant(cm.entries, cs.values)
         worst = max(abs(c - reference[i]) for i, c in enumerate(fk.coeffs))
