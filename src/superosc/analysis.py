@@ -12,7 +12,10 @@ density 1e5 points per unit length), samples within rounding of zero
 counting as zero.  Only the samples next to a root are evaluated, since
 the sign cannot change between them; the roots are the eigenvalues of the
 Chebyshev colleague matrix, whose transpose is already upper Hessenberg,
-found by a real double-shift QR that computes eigenvalues only.
+found by a real double-shift QR that computes eigenvalues only.  The QR
+runs in fixed point on Python ints, in units of 2^-(2p+64) ||h||_1 at p
+bits of precision, and deflates a subdiagonal entry below eps ||h||_1 at
+the latest, the backward error of the same QR in mpf.
 """
 
 import functools
@@ -204,23 +207,34 @@ def _hessenberg_eigenvalues(h):
     """Real parts of all eigenvalues of an upper Hessenberg h (rows of mpf).
 
     Francis double-shift QR without vectors (EISPACK hqr: Martin, Peters and
-    Wilkinson, Numer. Math. 14, 1970; Golub and Van Loan, Alg. 7.5.2), real
-    and at the working precision; h is overwritten.  A complex pair gives
-    its real part twice; exceptional shifts come at sweeps 10 and 20.
+    Wilkinson, Numer. Math. 14, 1970; Golub and Van Loan, Alg. 7.5.2), run in
+    fixed point on Python ints: with p = mp.prec, every entry is an integer
+    multiple of the unit u = 2^-F ||h||_1 (||h||_1 the sum of all |h_ij|,
+    rounded up to a power of two), F = 2p + 64, which leaves G = p + 64 guard
+    bits below eps ||h||_1 for the small entries of a graded matrix.  A
+    product is (a b) >> F, a quotient (a << F) // b, and each reflector is
+    formed from (p, q, r) shifted up to at least F + 8 bits, so that a small
+    bulge keeps its direction.  h[l][l-1] deflates once it is at most
+    2^-p (|h[l-1][l-1]| + |h[l][l]|) or 2^G u = eps ||h||_1, the normwise
+    backward error of an mpf QR at precision p.  A complex pair gives its
+    real part twice; exceptional shifts come at sweeps 10 and 20.
     """
-    n = len(h)
-    norm = mp.fsum(abs(x) for row in h for x in row)
-    values, shift, hi, its = [], mpf(0), n - 1, 0
+    n, prec = len(h), mp.prec
+    frac, floor = 2 * prec + 64, 1 << (prec + 64)
+    top = mp.frexp(mp.fsum(abs(x) for row in h for x in row))[1]
+    h = [[int(mp.ldexp(x, frac - top)) for x in row] for row in h]
+    values, shift, hi, its = [], 0, n - 1, 0
     while hi >= 0:
         l = hi  # h splits above row l where h[l][l-1] is below rounding
-        while l and abs(h[l][l - 1]) + (s := abs(h[l - 1][l - 1]) + abs(h[l][l]) or norm) != s:
+        while l and abs(h[l][l - 1]) > max((abs(h[l - 1][l - 1]) + abs(h[l][l])) >> prec, floor):
             l -= 1
         if l:
-            h[l][l - 1] = mpf(0)
+            h[l][l - 1] = 0
         x = h[hi][hi]
+        # w = h[hi][hi-1] h[hi-1][hi] stays unshifted, in units of u^2
         y, w = (h[hi - 1][hi - 1], h[hi][hi - 1] * h[hi - 1][hi]) if l < hi else (x, 0)
         if l >= hi - 1:  # a 1x1 (w = 0, one value) or 2x2 block splits off
-            mean, root = (x + y) / 2 + shift, mp.sqrt(max(((y - x) / 2) ** 2 + w, 0))
+            mean, root = ((x + y) >> 1) + shift, math.isqrt(max(((y - x) ** 2 >> 2) + w, 0))
             values += [mean - root, mean + root][:hi - l + 1]
             hi, its = l - 1, 0
             continue
@@ -231,35 +245,40 @@ def _hessenberg_eigenvalues(h):
             for i in range(hi + 1):
                 h[i][i] -= x
             s = abs(h[hi][hi - 1]) + abs(h[hi - 1][hi - 2])
-            x, y, w = 3 * s / 4, 3 * s / 4, -7 * s * s / 16
+            x = y = 3 * s >> 2
+            w = -7 * s * s >> 4
         its += 1
         # first column of (h - s1)(h - s2) / h[l+1][l], s1 + s2 = x + y, s1 s2 = x y - w
         z = h[l][l]
-        p = ((x - z) * (y - z) - w) / h[l + 1][l] + h[l][l + 1]
+        p = ((x - z) * (y - z) - w) // h[l + 1][l] + h[l][l + 1]
         q, r = h[l + 1][l + 1] - x - y + z, h[l + 2][l + 1]
         for k in range(l, hi):  # chase the bulge down with 3x3 reflectors
             k2 = min(k + 2, hi)  # the last one is 2x2: r = 0
             if k != l:
                 p, q, r = h[k][k - 1], h[k + 1][k - 1], h[k2][k - 1] if k2 > k + 1 else 0
-            s = (-1 if p < 0 else 1) * mp.sqrt(p * p + q * q + r * r)
-            if k != l:  # the reflector takes (p, q, r) to (-s, 0, 0)
-                h[k][k - 1], h[k + 1][k - 1], h[k2][k - 1] = -s, 0, 0
-            if not s:
+            bits = max(abs(p), abs(q), abs(r)).bit_length()
+            if not bits:  # p = q = r = 0: nothing to reflect
                 continue
+            up = max(0, frac + 8 - bits)
+            p, q, r = p << up, q << up, r << up
+            s = math.isqrt(p * p + q * q + r * r)
+            s = -s if p < 0 else s
+            if k != l:  # the reflector takes (p, q, r) to (-s, 0, 0)
+                h[k][k - 1], h[k + 1][k - 1], h[k2][k - 1] = -s >> up, 0, 0
             p += s
-            x, y, z = p / s, q / s, r / s
-            q, r = q / p, r / p
+            x, y, z = (p << frac) // s, (q << frac) // s, (r << frac) // s
+            q, r = (q << frac) // p, (r << frac) // p
             for j in range(k, hi + 1):
-                p = h[k][j] + q * h[k + 1][j] + r * h[k2][j]
-                h[k2][j] -= p * z
-                h[k + 1][j] -= p * y
-                h[k][j] -= p * x
+                p = h[k][j] + ((q * h[k + 1][j] + r * h[k2][j]) >> frac)
+                h[k2][j] -= p * z >> frac
+                h[k + 1][j] -= p * y >> frac
+                h[k][j] -= p * x >> frac
             for i in range(l, min(hi, k + 3) + 1):
-                p = x * h[i][k] + y * h[i][k + 1] + z * h[i][k2]
-                h[i][k2] -= p * r
-                h[i][k + 1] -= p * q
+                p = (x * h[i][k] + y * h[i][k + 1] + z * h[i][k2]) >> frac
+                h[i][k2] -= p * r >> frac
+                h[i][k + 1] -= p * q >> frac
                 h[i][k] -= p
-    return values
+    return [mp.ldexp(v, top - frac) for v in values]
 
 
 def count_sign_changes(values):

@@ -75,9 +75,17 @@ def _common_flags(p):
     p.add_argument("--seed", type=int, default=0,
                    help="accepted and echoed; no number depends on it")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--samples", type=int, default=0,
-                   help="points per exported sample series (0 disables)")
+    p.add_argument("--samples", type=_sample_count, default=0,
+                   help="points per exported sample series, 0 or at least 2 "
+                        "(0: none, or 1001 for design)")
     p.add_argument("--out", help="output path (default stdout)")
+
+
+def _sample_count(text):
+    count = int(text)
+    if count < 0 or count == 1:  # checked at parsing, before any solve
+        raise argparse.ArgumentTypeError("must be 0 or at least 2, got %d" % count)
+    return count
 
 
 def _domain_from_args(args):

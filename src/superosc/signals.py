@@ -46,9 +46,10 @@ def cosine_basis(n: int, t):
     """
     inv_sqrt_2pi, inv_sqrt_pi = _normalizers(mp.prec)
     cos_t = mp.cos(t)
+    two_cos = 2 * cos_t
     values = [inv_sqrt_pi, cos_t * inv_sqrt_pi]
     for _ in range(2, n + 1):
-        values.append(2 * cos_t * values[-1] - values[-2])
+        values.append(two_cos * values[-1] - values[-2])
     values[0] = inv_sqrt_2pi
     return values
 
@@ -82,4 +83,6 @@ def sample(signal: FourierCosineSignal, lo, hi, count: int, ctx: Context = FAST)
         if not lo < hi:
             raise ValueError("need lo < hi")
         step = (hi - lo) / (count - 1)
-        return [(lo + k * step, evaluate(signal, lo + k * step, ctx)) for k in range(count)]
+        points = [lo + k * step for k in range(count)]
+        return [(t, mp.fdot(signal.coeffs, cosine_basis(signal.band_limit, t)))
+                for t in points]

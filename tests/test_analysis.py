@@ -165,13 +165,18 @@ def colleague(a):
 
 
 class TestHessenbergEigenvalues:
-    @given(st.integers(1, 20), st.integers(30, 80), st.integers(0, 2 ** 32 - 1))
+    @given(st.integers(1, 20), st.integers(30, 80), st.integers(0, 2 ** 32 - 1),
+           st.one_of(st.just(0), st.integers(5, 20)))
     @settings(max_examples=25, deadline=None)
-    def test_matches_general_eigensolver(self, degree, dps, seed):
-        # uniform random coefficients: the roots are simple with probability 1
+    def test_matches_general_eigensolver(self, degree, dps, seed, grade):
+        # uniform random coefficients: the roots are simple with probability
+        # 1; a leading coefficient times 10^-grade grades the last column up
+        # to 10^grade, which the fixed-point unit must resolve beside the 1/2s
         rng = random.Random(seed)
         with mp.workdps(dps):
-            h = colleague([mpf(rng.uniform(-1, 1)) for _ in range(degree + 1)])
+            a = [mpf(rng.uniform(-1, 1)) for _ in range(degree + 1)]
+            a[-1] *= mpf(10) ** -grade
+            h = colleague(a)
             scale = max(abs(x) for row in h for x in row)
             # mp.eig wraps the eigenvalue of a 1x1 matrix in a list
             expected = [h[0][0]] if degree == 1 else \
@@ -185,6 +190,41 @@ class TestHessenbergEigenvalues:
         # 2x^2 + 1 = T_2 + 2 T_0 has roots +-i/sqrt(2)
         with mp.workdps(40):
             assert _hessenberg_eigenvalues(colleague([mpf(2), mpf(0), mpf(1)])) == [0, 0]
+
+    def test_zero_matrix_and_complex_pairs(self):
+        # real parts, twice for a pair: 1 +- i sqrt 2 splits off as a 2x2
+        # block; (x - 2)(x^2 + 1) needs sweeps to split its pair +-i off
+        with mp.workdps(40):
+            for n in range(1, 7):
+                assert _hessenberg_eigenvalues([[mpf(0)] * n for _ in range(n)]) == [0] * n
+            assert _hessenberg_eigenvalues([[mpf(1), mpf(-2)], [mpf(1), mpf(1)]]) == [1, 1]
+            h = [[mpf(2), mpf(-1), mpf(2)], [mpf(1), mpf(0), mpf(0)], [mpf(0), mpf(1), mpf(0)]]
+            got = sorted(_hessenberg_eigenvalues(h))
+            for x, y in zip(got, [0, 0, 2]):
+                assert abs(x - y) < mpf(10) ** -38
+
+    def test_sweeps_do_no_mpf_arithmetic(self, monkeypatch):
+        # the sweeps run on ints: only converting the n^2 entries in (and
+        # their sum |h_ij|) and the n values out may touch mpf
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__pow__", "__abs__", "__neg__"):
+            method = getattr(mp.mpf, name)
+            monkeypatch.setattr(mp.mpf, name, lambda *a, _m=method, _n=name:
+                                calls.append(_n) or _m(*a))
+        with mp.workdps(125):
+            rng = random.Random(1401)
+            h = colleague([mpf(rng.uniform(-1, 1)) for _ in range(11)])
+            calls.clear()
+            assert len(_hessenberg_eigenvalues(h)) == 10
+        assert 0 < len(calls) <= 10 * 10 + 4 * 10
+
+    def test_spectrum_report_crossings(self):
+        # the benchmark's spectrum report at the CLI's 10^4 points per unit
+        domain = symmetrize_domain("0.5", "1")
+        result = design_spectrum(10, 9, domain, Context(100))
+        assert [zero_crossings(sig, domain, 10000)
+                for sig in result.spectrum.signals] == [20, 18, 16]
 
     def test_double_root_at_minus_one(self):
         # (1 + cos t)^2 cos t = x (1 + x)^2 = T_0 + 7/4 T_1 + T_2 + 1/4 T_3

@@ -209,6 +209,17 @@ class TestArguments:
         assert code == 2
         assert "invalid choice: 'polynomial'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, count", [
+        ("design", "-5"), ("spectrum", "-3"), ("design", "1"), ("spectrum", "1")])
+    def test_bad_sample_count_exits_2_before_solving(self, tmp_path, capsys,
+                                                      monkeypatch, command, count):
+        monkeypatch.setattr(cli, "design_spectrum",
+                            lambda *a, **k: pytest.fail("solved before checking --samples"))
+        code, text = run_cli(tmp_path, command, "-n", "5", "-m", "3",
+                             "--interval", "1", "--samples", count)
+        assert (code, text) == (2, "")
+        assert "argument --samples: must be 0 or at least 2" in capsys.readouterr().err
+
     def test_help_returns_0(self, capsys):
         assert main(["spectrum", "--help"]) == 0
         assert "--method" in capsys.readouterr().out
