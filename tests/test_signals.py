@@ -146,6 +146,16 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(make_signal([1, 1]), 0, 1, 1, CTX)
 
+    def test_values_are_evaluate_bit_for_bit(self):
+        # sample shares one precision context across its points; each value
+        # must still be exactly what evaluate gives at that point
+        import random
+        ctx = Context(30)
+        rng = random.Random(7)
+        s = make_signal([rng.uniform(-3, 3) for _ in range(13)])
+        pts = sample(s, "-0.3", 2, 257, ctx)
+        assert [v for _, v in pts] == [evaluate(s, t, ctx) for t, _ in pts]
+
     def test_single_harmonic_max_close_to_one(self):
         with CTX.workprec():
             s = make_signal([0] * 5 + [mp.sqrt(mp.pi)])
