@@ -187,21 +187,22 @@ class TestHessenbergEigenvalues:
                 mpf(10) ** (10 - dps) * scale
 
     def test_complex_pair(self):
-        # 2x^2 + 1 = T_2 + 2 T_0 has roots +-i/sqrt(2)
+        # real parts, twice for a pair: 2x^2 + 1 = T_2 + 2 T_0 has roots
+        # +-i/sqrt(2); 1 +- i sqrt 2 splits off as a 2x2 block; (x - 2)(x^2 + 1)
+        # needs sweeps to split its pair +-i off
         with mp.workdps(40):
             assert _hessenberg_eigenvalues(colleague([mpf(2), mpf(0), mpf(1)])) == [0, 0]
-
-    def test_zero_matrix_and_complex_pairs(self):
-        # real parts, twice for a pair: 1 +- i sqrt 2 splits off as a 2x2
-        # block; (x - 2)(x^2 + 1) needs sweeps to split its pair +-i off
-        with mp.workdps(40):
-            for n in range(1, 7):
-                assert _hessenberg_eigenvalues([[mpf(0)] * n for _ in range(n)]) == [0] * n
             assert _hessenberg_eigenvalues([[mpf(1), mpf(-2)], [mpf(1), mpf(1)]]) == [1, 1]
             h = [[mpf(2), mpf(-1), mpf(2)], [mpf(1), mpf(0), mpf(0)], [mpf(0), mpf(1), mpf(0)]]
             got = sorted(_hessenberg_eigenvalues(h))
             for x, y in zip(got, [0, 0, 2]):
                 assert abs(x - y) < mpf(10) ** -38
+
+    def test_zero_matrix(self):
+        # ||h||_1 = 0 sets no unit of its own; every value is exactly 0
+        with mp.workdps(40):
+            for n in range(1, 7):
+                assert _hessenberg_eigenvalues([[mpf(0)] * n for _ in range(n)]) == [0] * n
 
     def test_sweeps_do_no_mpf_arithmetic(self, monkeypatch):
         # the sweeps run on ints: only converting the n^2 entries in (and
@@ -240,7 +241,6 @@ class TestHessenbergEigenvalues:
             got = sorted(_hessenberg_eigenvalues([[mpf(1), mpf(2)], [mpf(3), mpf(4)]]))
             for x, y in zip(got, [(5 - mp.sqrt(33)) / 2, (5 + mp.sqrt(33)) / 2]):
                 assert abs(x - y) < mpf(10) ** -28
-            assert _hessenberg_eigenvalues([[mpf(0)] * 2 for _ in range(2)]) == [0, 0]
 
     def test_cyclic_permutation_converges(self):
         # the cube roots of unity: the QR deflates only after the exceptional
