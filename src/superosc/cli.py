@@ -27,19 +27,14 @@ from .analysis import monotonicity_table, scaling_sweep, yield_of, zero_crossing
 from .constraints import RankDeficientConstraints
 from .context import Context
 from .design import METHODS, design_spectrum
-from .domains import Domain, parse_domain_spec, symmetrize_domain
-from .errors import DomainError, InfeasibleConstraints, SolverFailure
+from .domains import parse_domain_spec, symmetrize_domain
+from .errors import InfeasibleConstraints, SolverFailure
 from .signals import evaluate, sample
 from .solver import fk_min_energy_signal, jacobi_spectrum, slepian_modes
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_SOLVER = 3
-
-# Default grid density for the crossings column (per unit length).  The
-# headline 1e5/unit operationalization lives in analysis.zero_crossings; the
-# CLI column keeps its coarser grid, on which its documents' counts stand.
-CLI_CROSSING_DENSITY = 10 ** 4
 
 
 def build_parser():
@@ -68,7 +63,8 @@ def _common_flags(p):
     group.add_argument("--annulus", nargs=2, metavar=("A", "B"),
                        help="symmetric pair (-B,-A) u (A,B)")
     group.add_argument("--domain", metavar="SPEC",
-                       help="general domain 'lo,hi;lo,hi' in radians")
+                       help="general domain 'lo,hi;lo,hi' in radians; write "
+                            "--domain=SPEC when it starts with a minus sign")
     p.add_argument("--precision", type=int, default=15,
                    help="significant decimal digits (default 15)")
     p.add_argument("--method", choices=METHODS + ("both",), default="secular")
@@ -98,19 +94,25 @@ def _domain_from_args(args):
     raise ValueError("one of --interval, --annulus, --domain is required")
 
 
-def _config_echo(args, ctx, domain):
-    return {
+def _solve(args, ctx):
+    """design_spectrum on the domain flags; --method both solves with secular."""
+    method = "secular" if args.method == "both" else args.method
+    return design_spectrum(args.band_limit, args.constraints, _domain_from_args(args),
+                           ctx, seed=args.seed, method=method)
+
+
+def _config_echo(args, ctx, domain=None):
+    echo = {
         "command": args.command,
         "band_limit": args.band_limit,
         "constraints": args.constraints,
-        "domain": [[ctx.to_decimal(lo), ctx.to_decimal(hi)]
-                   for lo, hi in domain.intervals],
-        "precision_digits": ctx.digits,
-        "method": args.method,
-        "seed": args.seed,
-        "format": args.format,
-        "samples": args.samples,
     }
+    if domain is not None:  # a radius sweep's grid defines its domains
+        echo["domain"] = [[ctx.to_decimal(lo), ctx.to_decimal(hi)]
+                          for lo, hi in domain.intervals]
+    echo.update(precision_digits=ctx.digits, method=args.method, seed=args.seed,
+                format=args.format, samples=args.samples)
+    return echo
 
 
 def _series(signal, lo, hi, count, ctx):
@@ -126,7 +128,7 @@ def _series(signal, lo, hi, count, ctx):
         }
 
 
-def _mode_entry(index, lam, signal, result, ctx, crossings_grid):
+def _mode_entry(index, lam, signal, result, ctx):
     report = yield_of(signal, result.domain, result.delta, ctx)
     diag = result.spectrum.diagnostics
     with ctx.workprec():
@@ -140,7 +142,7 @@ def _mode_entry(index, lam, signal, result, ctx, crossings_grid):
         "coefficients": [ctx.to_decimal(c) for c in signal.coeffs],
         "yield_algebraic": ctx.to_decimal(report.algebraic),
         "yield_quadrature": ctx.to_decimal(report.quadrature),
-        "crossings": zero_crossings(signal, result.domain, crossings_grid),
+        "crossings": zero_crossings(signal, result.domain),
         "stationarity_residual": ctx.to_decimal(
             diag["stationarity_residuals"][index - 1]),
         "secular_residual": ctx.to_decimal(diag["secular_residuals"][index - 1]),
@@ -149,23 +151,16 @@ def _mode_entry(index, lam, signal, result, ctx, crossings_grid):
     }
 
 
-def _crossings_grid(domain):
-    return max(1000, int(mp.ceil(domain.measure * CLI_CROSSING_DENSITY)))
-
-
 def cmd_design(args, ctx):
-    domain = _domain_from_args(args)
-    method = "secular" if args.method == "both" else args.method
-    result = design_spectrum(args.band_limit, args.constraints, domain, ctx,
-                             seed=args.seed, method=method)
+    result = _solve(args, ctx)
+    domain = result.domain
     lam = result.optimal_yield
     signal = result.optimal_signal
     samples = args.samples if args.samples > 0 else 1001
-    doc = {
+    return {
         "config": _config_echo(args, ctx, domain),
         "eigenvalue": ctx.to_decimal(lam),
-        "mode": _mode_entry(len(result.spectrum), lam, signal, result, ctx,
-                            _crossings_grid(domain)),
+        "mode": _mode_entry(len(result.spectrum), lam, signal, result, ctx),
         "constraint_points": [ctx.to_decimal(t) for t in result.frame.points],
         "constraint_values": [ctx.to_decimal(v) for v in result.frame.values],
         "series": {
@@ -174,17 +169,13 @@ def cmd_design(args, ctx):
                               domain.intervals[-1][1], samples, ctx),
         },
     }
-    return doc, result
 
 
 def cmd_spectrum(args, ctx):
-    domain = _domain_from_args(args)
-    method = "secular" if args.method == "both" else args.method
-    result = design_spectrum(args.band_limit, args.constraints, domain, ctx,
-                             seed=args.seed, method=method)
-    grid = _crossings_grid(domain)
+    result = _solve(args, ctx)
+    domain = result.domain
     modes = [
-        _mode_entry(i, lam, sig, result, ctx, grid)
+        _mode_entry(i, lam, sig, result, ctx)
         for i, (lam, sig) in enumerate(
             zip(result.spectrum.eigenvalues, result.spectrum.signals), start=1)
     ]
@@ -210,22 +201,20 @@ def cmd_spectrum(args, ctx):
                             domain.intervals[-1][1], args.samples, ctx)
             for i, sig in enumerate(result.spectrum.signals, start=1)
         }
-    return doc, result
+    return doc
 
 
 def cmd_baseline(args, ctx):
-    domain = _domain_from_args(args)
-    result = design_spectrum(args.band_limit, args.constraints, domain, ctx,
-                             seed=args.seed)
+    result = _solve(args, ctx)
     fk = fk_min_energy_signal(result.frame, ctx)
-    fk_report = yield_of(fk, domain, result.delta, ctx)
+    fk_report = yield_of(fk, result.domain, result.delta, ctx)
     with ctx.workprec():
         # the FK signal is (0, mu~) in the orthogonal frame: its energy is
         # ||mu~||^2, one value for both fields rather than two roundings of it
         fk_energy = (result.frame.mu_tilde.T * result.frame.mu_tilde)[0]
     modes = slepian_modes(result.delta, ctx)
-    doc = {
-        "config": _config_echo(args, ctx, domain),
+    return {
+        "config": _config_echo(args, ctx, result.domain),
         "fk_minimum_energy": {
             "coefficients": [ctx.to_decimal(c) for c in fk.coeffs],
             "energy": ctx.to_decimal(fk_energy),
@@ -245,7 +234,6 @@ def cmd_baseline(args, ctx):
         },
         "spectrum_max_eigenvalue": ctx.to_decimal(result.optimal_yield),
     }
-    return doc, result
 
 
 def cmd_sweep(args, ctx):
@@ -259,8 +247,6 @@ def cmd_sweep(args, ctx):
         grid = {"kind": "interval_radius",
                 "values": [ctx.to_decimal(a) for a in radii]}
     else:
-        if args.interval is None and args.annulus is None and args.domain is None:
-            raise ValueError("constraint-count sweep needs a domain flag")
         domain = _domain_from_args(args)
         if len(domain.intervals) != 1 or domain.intervals[0][0] != -domain.intervals[0][1]:
             raise ValueError("constraint-count sweep expects --interval A")
@@ -275,17 +261,13 @@ def cmd_sweep(args, ctx):
          "normalized": ctx.to_decimal(r.normalized)}
         for r in table.rows
     ]
-    doc = {
-        "config": _config_echo(args, ctx,
-                               domain or Domain(((mpf(-1), mpf(1)),))),
+    return {
+        "config": _config_echo(args, ctx, domain),
         "grid": grid,
         "rows": rows,
         "slopes": {str(i): ctx.to_decimal(s) for i, s in sorted(table.slopes.items())},
         "errors": {str(k): v for k, v in table.errors.items()},
     }
-    if args.a_values:
-        del doc["config"]["domain"]  # the grid defines the domains
-    return doc, None
 
 
 def render_json(doc):
@@ -296,16 +278,11 @@ def render_csv(doc):
     """Main CSV table: one row per eigenvalue/sweep row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if "modes" in doc:
+    if "modes" in doc or "mode" in doc:
         writer.writerow(["index", "eigenvalue", "yield_quadrature", "crossings"])
-        for mode in doc["modes"]:
+        for mode in doc.get("modes", [doc.get("mode")]):
             writer.writerow([mode["index"], mode["eigenvalue"],
                              mode["yield_quadrature"], mode["crossings"]])
-    elif "mode" in doc:
-        writer.writerow(["index", "eigenvalue", "yield_quadrature", "crossings"])
-        mode = doc["mode"]
-        writer.writerow([mode["index"], mode["eigenvalue"],
-                         mode["yield_quadrature"], mode["crossings"]])
     elif "rows" in doc:
         writer.writerow(["key", "index", "eigenvalue", "normalized"])
         for row in doc["rows"]:
@@ -350,10 +327,9 @@ def main(argv=None):
     started = time.monotonic()
     try:
         ctx = Context(digits=args.precision)
-        doc, _ = args.handler(args, ctx)
+        doc = args.handler(args, ctx)
         write_output(doc, args)
-    except (ValueError, DomainError, InfeasibleConstraints,
-            RankDeficientConstraints) as exc:
+    except (ValueError, InfeasibleConstraints, RankDeficientConstraints) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     except SolverFailure as exc:

@@ -130,12 +130,6 @@ def _finalize(roots, vectors, bordered, norm, frame, method, ctx):
     roots ascend, vectors holds the unit bordered eigenvector of each root
     as an (f+1)x1 matrix; bordered and norm are _bordered(delta, frame).
     """
-    expected = frame.free_dim + 1
-    if len(roots) != expected:
-        raise SolverFailure(
-            "found %d generalized eigenvalues, expected %d" % (len(roots), expected),
-            diagnostics={"roots": roots},
-        )
     for y in roots:
         if not (0 < y < 1):
             message = "eigenvalue %s outside (0, 1)" % mp.nstr(y, 8)

@@ -5,7 +5,7 @@ import json
 import pytest
 from mpmath import mpf
 
-from superosc import cli, solver
+from superosc import Context, cli, design_spectrum, solver, symmetrize_domain, zero_crossings
 from superosc.cli import main, parse_document, render_json
 
 
@@ -127,6 +127,25 @@ class TestSpectrum:
         assert calls == ["secular"]
         assert len(parse_document(text)["jacobi_eigenvalues"]) == 5
 
+    def test_crossings_on_the_library_grid(self, tmp_path):
+        code, text = run_cli(tmp_path, "spectrum", "-n", "5", "-m", "3",
+                             "--annulus", "0.5", "1")
+        assert code == 0
+        result = design_spectrum(5, 3, symmetrize_domain("0.5", "1"), Context(15))
+        expected = [zero_crossings(sig, result.domain) for sig in result.spectrum.signals]
+        assert [mode["crossings"] for mode in parse_document(text)["modes"]] == expected
+
+    def test_negative_domain_needs_equals_form(self, tmp_path, capsys):
+        spec = "-2.5,-1.5;0.5,1.7"
+        code, _ = run_cli(tmp_path, "spectrum", "-n", "6", "-m", "3", "--domain", spec)
+        assert code == 2  # argparse reads a leading minus as an option
+        assert "argument --domain: expected one argument" in capsys.readouterr().err
+        code, text = run_cli(tmp_path, "spectrum", "-n", "6", "-m", "3",
+                             "--domain=" + spec, "--precision", "30")
+        assert code == 0
+        echo = parse_document(text)["config"]["domain"]
+        assert [[float(lo), float(hi)] for lo, hi in echo] == [[-2.5, -1.5], [0.5, 1.7]]
+
     def test_annulus_flag(self, tmp_path):
         code, text = run_cli(tmp_path, "spectrum", "-n", "5", "-m", "3",
                              "--annulus", "0.5", "1")
@@ -134,13 +153,23 @@ class TestSpectrum:
         doc = parse_document(text)
         assert len(doc["config"]["domain"]) == 2
 
-    def test_csv_layout(self, tmp_path):
-        code, text = run_cli(tmp_path, "spectrum", "-n", "5", "-m", "3",
-                             "--interval", "1", "--format", "csv")
+    @pytest.mark.parametrize("argv, header, rows", [
+        ("spectrum -n 7 -m 4 --interval 1.2",
+         "index,eigenvalue,yield_quadrature,crossings", 5),  # N+2-M modes
+        ("design -n 6 -m 3 --interval 1",
+         "index,eigenvalue,yield_quadrature,crossings", 1),  # the top mode
+        ("baseline -n 6 -m 3 --interval 1", "which,index,eigenvalue", 8),  # fk + N+1
+        ("sweep -n 5 -m 3 --a-values 0.4,0.2 --precision 30",
+         "key,index,eigenvalue,normalized", 8),  # two radii x (N+2-M)
+    ], ids=["spectrum", "design", "baseline", "sweep"])
+    def test_csv_layout(self, tmp_path, argv, header, rows):
+        code, text = run_cli(tmp_path, *argv.split(), "--format", "csv")
         assert code == 0
         lines = text.strip().splitlines()
-        assert lines[0] == "index,eigenvalue,yield_quadrature,crossings"
-        assert len(lines) == 5  # header + N+2-M rows
+        assert lines[0] == header
+        assert len(lines) == 1 + rows
+        if argv.startswith("baseline"):
+            assert [l.split(",")[0] for l in lines[1:]] == ["fk"] + ["slepian"] * 7
 
     def test_csv_series_files(self, tmp_path):
         out = tmp_path / "spec.csv"
@@ -238,6 +267,28 @@ class TestBaseline:
         top_slepian = mpf(doc["slepian"]["eigenvalues"][0])
         assert top_slepian >= mpf(doc["spectrum_max_eigenvalue"])
 
+    def test_jacobi_method_is_honoured(self, tmp_path, monkeypatch):
+        calls = []
+        design = cli.design_spectrum
+
+        def counting_design(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return design(*args, **kwargs)
+
+        argv = ["baseline", "-n", "6", "-m", "3", "--interval", "1",
+                "--precision", "30"]
+        secular = parse_document(run_cli(tmp_path, *argv)[1])
+        monkeypatch.setattr(cli, "design_spectrum", counting_design)
+        code, text = run_cli(tmp_path, *argv, "--method", "jacobi")
+        assert code == 0
+        assert calls == ["jacobi"]
+        jacobi = parse_document(text)
+        assert jacobi["config"]["method"] == "jacobi"
+        assert [k for k in secular if secular[k] != jacobi[k]] == [
+            "config", "spectrum_max_eigenvalue"]
+        a, b = (mpf(doc["spectrum_max_eigenvalue"]) for doc in (secular, jacobi))
+        assert abs(a - b) <= mpf("1e-40") * a
+
 
 class TestSweep:
     def test_radius_sweep(self, tmp_path):
@@ -292,6 +343,14 @@ class TestDeterminism:
         second = run_cli(tmp_path, *args)
         assert first == second
         assert first[0] == 0
+
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        argv = ["design", "-n", "4", "-m", "2", "--interval", "0.8"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        code, text = run_cli(tmp_path, *argv)
+        assert code == 0
+        assert stdout == text
 
     def test_round_trip_is_lossless(self, tmp_path):
         code, text = run_cli(tmp_path, "design", "-n", "4", "-m", "2",

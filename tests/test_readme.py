@@ -5,8 +5,10 @@ import contextlib
 import io
 import pathlib
 import re
+import shlex
 
 import superosc
+from superosc import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -39,3 +41,16 @@ def test_lower_level_pieces_are_public():
     names = re.findall(r"`(\w+)`", paragraph)
     assert "secular_spectrum" in names
     assert [name for name in names if name not in superosc.__all__] == []
+
+
+def test_command_line_examples_parse():
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    assert len(lines) >= 6
+    parser = cli.build_parser()
+    for line in lines:
+        words = shlex.split(line.split(" > ")[0])
+        assert words[0] == "superosc", line
+        args = parser.parse_args(words[1:])  # exits 2 if the line has drifted
+        assert args.command == words[1]
