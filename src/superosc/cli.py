@@ -46,7 +46,7 @@ def build_parser():
     for name, fn in (("design", cmd_design), ("spectrum", cmd_spectrum),
                      ("baseline", cmd_baseline), ("sweep", cmd_sweep)):
         p = sub.add_parser(name)
-        _common_flags(p)
+        _common_flags(p, with_method=name != "sweep")
         if name == "sweep":
             p.add_argument("--a-values", help="comma-separated interval radii")
             p.add_argument("--m-values", help="comma-separated constraint counts")
@@ -54,7 +54,7 @@ def build_parser():
     return parser
 
 
-def _common_flags(p):
+def _common_flags(p, with_method):
     p.add_argument("--band-limit", "-n", type=int, required=True)
     p.add_argument("--constraints", "-m", type=int, required=True)
     group = p.add_mutually_exclusive_group()
@@ -67,7 +67,8 @@ def _common_flags(p):
                             "--domain=SPEC when it starts with a minus sign")
     p.add_argument("--precision", type=int, default=15,
                    help="significant decimal digits (default 15)")
-    p.add_argument("--method", choices=METHODS + ("both",), default="secular")
+    if with_method:  # sweeps always solve with secular
+        p.add_argument("--method", choices=METHODS + ("both",), default="secular")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted and echoed; no number depends on it")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -110,8 +111,10 @@ def _config_echo(args, ctx, domain=None):
     if domain is not None:  # a radius sweep's grid defines its domains
         echo["domain"] = [[ctx.to_decimal(lo), ctx.to_decimal(hi)]
                           for lo, hi in domain.intervals]
-    echo.update(precision_digits=ctx.digits, method=args.method, seed=args.seed,
-                format=args.format, samples=args.samples)
+    echo["precision_digits"] = ctx.digits
+    if "method" in args:
+        echo["method"] = args.method
+    echo.update(seed=args.seed, format=args.format, samples=args.samples)
     return echo
 
 

@@ -18,10 +18,11 @@ is the secular function.  An eigenvector z = (z_free, z_last) scaled to meet
 the constraints gives the signal's free part x = z_free*||mu~||/z_last,
 which solves (Delta_free - Y) x = -g.  A vanishing z_last marks a free
 direction decoupled from the constraints (deflation): only such a root
-takes an LU solve.  secular_spectrum solves K by tridiagonalization,
-implicit QL and tridiagonal inverse iteration (_eigensystem);
-jacobi_spectrum, the independent cross-check, with cyclic Jacobi rotations
-on the same K.
+takes an LU solve.  Each symmetric eigensolve returns ascending eigenvalues
+and unit eigenvectors as lists, or raises SolverFailure: _eigensystem
+(tridiagonalization, implicit QL, tridiagonal inverse iteration) for K in
+secular_spectrum and Delta in slepian_modes, _jacobi_eigensystem (cyclic
+Jacobi rotations), the independent cross-check, for K in jacobi_spectrum.
 """
 
 import warnings
@@ -90,9 +91,10 @@ def _reconstruct(y, z, bordered, norm, frame, ctx):
     f = frame.free_dim
     deflated = abs(z[f]) <= ctx.bracket_rtol
     if not deflated:
-        free_part = z[0:f, 0] * (norm / z[f])  # z[0:f] is 1x0 at f = 0
+        scale = norm / z[f]
+        free_part = mp.matrix([zi * scale for zi in z[:f]]) if f else mp.matrix(0, 1)
     else:
-        system = bordered[0:f, 0:f] - y * mp.eye(f) + z[0:f] * z[0:f].T
+        system = bordered[0:f, 0:f] - y * mp.eye(f) + mp.matrix(z[:f]) * mp.matrix([z[:f]])
         try:
             free_part = mp.lu_solve(system, -norm * bordered[0:f, f])
             # a free part past the deflation threshold ||mu~||/bracket_rtol:
@@ -124,29 +126,29 @@ def _warn_below_floor(smallest, ctx, stacklevel):
                       PrecisionWarning, stacklevel=stacklevel)
 
 
-def _finalize(roots, vectors, bordered, norm, frame, method, ctx):
-    """Check the roots and reconstruct their signals.
-
-    roots ascend, vectors holds the unit bordered eigenvector of each root
-    as an (f+1)x1 matrix; bordered and norm are _bordered(delta, frame).
-    """
-    for y in roots:
-        if not (0 < y < 1):
-            message = "eigenvalue %s outside (0, 1)" % mp.nstr(y, 8)
-            if abs(y) < ctx.trust_floor:
-                message += ("; it lies below the resolution of %d digits, "
-                            "raise --precision" % ctx.digits)
-            raise SolverFailure(message, diagnostics={"roots": roots})
-    for y1, y2 in zip(roots, roots[1:]):
-        if y2 - y1 < ctx.bracket_rtol * y2:
-            raise SolverFailure(
-                "degenerate generalized eigenvalues at working precision",
-                diagnostics={"roots": roots},
-            )
-    parts = [_reconstruct(y, z, bordered, norm, frame, ctx)
-             for y, z in zip(roots, vectors)]
-    free_parts, signals, stationarity, sec_res, defl_flags = zip(*parts)
-    _warn_below_floor(roots[0], ctx, stacklevel=4)
+def _spectrum(delta, frame, ctx, kernel, method):
+    """K = _bordered(delta, frame), its roots and unit eigenvectors by kernel
+    (_eigensystem or _jacobi_eigensystem), checked, and each root's signal."""
+    with ctx.workprec():
+        bordered, norm = _bordered(delta, frame)
+        roots, vectors = kernel(bordered)
+        for y in roots:
+            if not (0 < y < 1):
+                message = "eigenvalue %s outside (0, 1)" % mp.nstr(y, 8)
+                if abs(y) < ctx.trust_floor:
+                    message += ("; it lies below the resolution of %d digits, "
+                                "raise --precision" % ctx.digits)
+                raise SolverFailure(message, diagnostics={"roots": roots})
+        for y1, y2 in zip(roots, roots[1:]):
+            if y2 - y1 < ctx.bracket_rtol * y2:
+                raise SolverFailure(
+                    "degenerate generalized eigenvalues at working precision",
+                    diagnostics={"roots": roots},
+                )
+        parts = [_reconstruct(y, z, bordered, norm, frame, ctx)
+                 for y, z in zip(roots, vectors)]
+        free_parts, signals, stationarity, sec_res, defl_flags = zip(*parts)
+        _warn_below_floor(roots[0], ctx, stacklevel=4)
     return GeneralizedSpectrum(
         eigenvalues=tuple(roots),
         signals=signals,
@@ -164,9 +166,9 @@ def _finalize(roots, vectors, bordered, norm, frame, method, ctx):
 def _eigensystem(matrix):
     """Ascending eigenvalues and unit eigenvectors (lists) of a symmetric matrix.
 
-    mpmath's EISPACK tred2 and implicit QL without vectors, the two halves
-    of eigsy, tridiagonalize from the last row up (the last coordinate is
-    never rotated: Q's last row is e_n) and give eigsy's eigenvalues.  Each
+    mpmath's EISPACK tred2 and implicit QL without vectors (r_sy_tridiag and
+    tridiag_eigen) tridiagonalize from the last row up (the last coordinate
+    is never rotated: Q's last row is e_n) and give the eigenvalues.  Each
     vector comes from inverse iteration on T (Peters & Wilkinson, EISPACK
     tinvit): a pivoted LU of T - y, two back-substitutions from the all-ones
     vector, each followed by Gram-Schmidt against the earlier vectors within
@@ -185,7 +187,7 @@ def _eigensystem(matrix):
         # QL settles eigenvalues in order: the first unsplit off-diagonal is stuck
         index = next((k for k in range(size - 1) if abs(off[k]) > mp.eps * (
             abs(values[k]) + abs(values[k + 1]))), size - 1)
-        raise SolverFailure("implicit QL on the bordered matrix of order %d did not "
+        raise SolverFailure("implicit QL on the symmetric matrix of order %d did not "
                             "converge" % size, diagnostics={"unconverged_index": index}) from exc
     norm = max(abs(d[i]) + abs(e[i]) + abs(e[i - 1]) for i in range(size)) or mpf(1)  # e[-1] = 0
     eps3, vectors, group, last = mp.eps * norm, [], [], None
@@ -226,6 +228,58 @@ def _eigensystem(matrix):
     return values, vectors
 
 
+# Tests reach at most 17 sweeps (N=20, M=3 on (-1, 1) at 100 digits, order
+# 19), 19 were measured (the same at a = 1/64, 230 digits); convergence is
+# quadratic near the end, so a solve still rotating at twice that is stuck.
+JACOBI_MAX_SWEEPS = 40
+
+
+def _jacobi_eigensystem(matrix):
+    """Ascending eigenvalues and unit eigenvectors (lists) by cyclic Jacobi.
+
+    Real mpf rotations on lists of rows, accumulating the eigenvectors.  An
+    off-diagonal a_pq is set to zero once |a_pq| <= 2^-prec sqrt(|a_pp a_qq|),
+    the relative stopping rule of Demmel & Veselic (SIAM J. Matrix Anal.
+    Appl. 13, 1992) for positive-definite matrices; the abs keeps a diagonal
+    that rounds negative from a complex square root.  The solve ends after a
+    sweep without a rotation.
+    """
+    a, basis = matrix.tolist(), mp.eye(matrix.rows).tolist()  # basis rows: vectors
+    size, tol = len(a), mpf(2) ** -mp.prec
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p in range(size - 1):
+            for q in range(p + 1, size):
+                app, aqq, apq = a[p][p], a[q][q], a[p][q]
+                if abs(apq) <= tol * mp.sqrt(abs(app * aqq)):
+                    a[p][q] = a[q][p] = mpf(0)
+                    continue
+                rotated = True
+                theta = (aqq - app) / (2 * apq)
+                t = (-1 if theta < 0 else 1) / (abs(theta) + mp.sqrt(theta * theta + 1))
+                c = 1 / mp.sqrt(t * t + 1)
+                s = t * c
+                for rows in (a, basis):
+                    rp, rq = rows[p], rows[q]
+                    rows[p] = [c * x - s * y for x, y in zip(rp, rq)]
+                    rows[q] = [s * x + c * y for x, y in zip(rp, rq)]
+                for r in range(size):
+                    a[r][p], a[r][q] = a[p][r], a[q][r]
+                a[p][p], a[q][q] = app - t * apq, aqq + t * apq
+                a[p][q] = a[q][p] = mpf(0)
+        if not rotated:
+            break
+    else:
+        raise SolverFailure(
+            "Jacobi rotations on the symmetric matrix of order %d did not "
+            "converge in %d sweeps" % (size, JACOBI_MAX_SWEEPS),
+            diagnostics={"largest_off_diagonal": max(
+                abs(a[p][q]) for p in range(size) for q in range(p + 1, size))},
+        )
+    order = sorted(range(size), key=lambda k: a[k][k])
+    return [a[k][k] for k in order], [basis[k] for k in order]
+
+
 def secular_spectrum(delta: OverlapMatrix, frame: RotatedFrame,
                      ctx: Context = FAST) -> GeneralizedSpectrum:
     """All N+2-M generalized eigenvalues from one bordered eigensolve.
@@ -233,67 +287,13 @@ def secular_spectrum(delta: OverlapMatrix, frame: RotatedFrame,
     The roots of s(Y) are the eigenvalues of K = W Delta W^T:
     det(K - Y) = det(Delta_free - Y) * s(Y) / ||mu~||^2.
     """
-    with ctx.workprec():
-        bordered, norm = _bordered(delta, frame)
-        roots, vectors = _eigensystem(bordered)
-        return _finalize(roots, [mp.matrix(z) for z in vectors],
-                         bordered, norm, frame, "secular", ctx)
-
-
-# Tests reach at most 17 sweeps (N=20, M=3 on (-1, 1) at 100 digits, order
-# 19), 19 were measured (the same at a = 1/64, 230 digits); convergence is
-# quadratic near the end, so a solve still rotating at twice that is stuck.
-JACOBI_MAX_SWEEPS = 40
+    return _spectrum(delta, frame, ctx, _eigensystem, "secular")
 
 
 def jacobi_spectrum(delta: OverlapMatrix, frame: RotatedFrame,
                     ctx: Context = FAST) -> GeneralizedSpectrum:
-    """Cross-check path: the same K as secular_spectrum, by cyclic Jacobi.
-
-    Real mpf rotations on lists of rows, accumulating the eigenvectors.  An
-    off-diagonal a_pq is set to zero once |a_pq| <= 2^-prec sqrt(|a_pp a_qq|),
-    the relative stopping rule of Demmel & Veselic (SIAM J. Matrix Anal.
-    Appl. 13, 1992) for positive-definite K; the abs keeps a diagonal that
-    rounds negative from a complex square root.  The solve ends after a sweep
-    without a rotation.
-    """
-    with ctx.workprec():
-        bordered, norm = _bordered(delta, frame)
-        a, basis = bordered.tolist(), mp.eye(bordered.rows).tolist()  # basis rows: vectors
-        size, tol = len(a), mpf(2) ** -mp.prec
-        for _ in range(JACOBI_MAX_SWEEPS):
-            rotated = False
-            for p in range(size - 1):
-                for q in range(p + 1, size):
-                    app, aqq, apq = a[p][p], a[q][q], a[p][q]
-                    if abs(apq) <= tol * mp.sqrt(abs(app * aqq)):
-                        a[p][q] = a[q][p] = mpf(0)
-                        continue
-                    rotated = True
-                    theta = (aqq - app) / (2 * apq)
-                    t = (-1 if theta < 0 else 1) / (abs(theta) + mp.sqrt(theta * theta + 1))
-                    c = 1 / mp.sqrt(t * t + 1)
-                    s = t * c
-                    for rows in (a, basis):
-                        rp, rq = rows[p], rows[q]
-                        rows[p] = [c * x - s * y for x, y in zip(rp, rq)]
-                        rows[q] = [s * x + c * y for x, y in zip(rp, rq)]
-                    for r in range(size):
-                        a[r][p], a[r][q] = a[p][r], a[q][r]
-                    a[p][p], a[q][q] = app - t * apq, aqq + t * apq
-                    a[p][q] = a[q][p] = mpf(0)
-            if not rotated:
-                break
-        else:
-            raise SolverFailure(
-                "Jacobi rotations on the bordered matrix of order %d did not "
-                "converge in %d sweeps" % (size, JACOBI_MAX_SWEEPS),
-                diagnostics={"largest_off_diagonal": max(
-                    abs(a[p][q]) for p in range(size) for q in range(p + 1, size))},
-            )
-        order = sorted(range(size), key=lambda k: a[k][k])
-        return _finalize([a[k][k] for k in order], [mp.matrix(basis[k]) for k in order],
-                         bordered, norm, frame, "jacobi", ctx)
+    """Cross-check path: the same K as secular_spectrum, by cyclic Jacobi."""
+    return _spectrum(delta, frame, ctx, _jacobi_eigensystem, "jacobi")
 
 
 def fk_min_energy_signal(frame: RotatedFrame, ctx: Context = FAST) -> FourierCosineSignal:
@@ -310,25 +310,20 @@ def fk_min_energy_signal(frame: RotatedFrame, ctx: Context = FAST) -> FourierCos
 def slepian_modes(delta: OverlapMatrix, ctx: Context = FAST):
     """Unconstrained energy-concentration optima of the overlap matrix.
 
-    Plain symmetric eigendecomposition, returned as (eigenvalue, signal)
-    pairs in descending eigenvalue order with unit-energy signals.  These
-    are the discrete analogues of the prolate spheroidal wavefunctions and
-    the natural baseline: no constrained signal can beat the top mode.
-    Warns (PrecisionWarning) when the smallest is below ctx.trust_floor.
-    Keeps mp.eigsy, whose vectors set the baseline document's digits.
+    Plain symmetric eigendecomposition (_eigensystem), returned as
+    (eigenvalue, signal) pairs in descending eigenvalue order with
+    unit-energy signals.  These are the discrete analogues of the prolate
+    spheroidal wavefunctions and the natural baseline: no constrained signal
+    can beat the top mode.  Warns (PrecisionWarning) when the smallest is
+    below ctx.trust_floor.
     """
     with ctx.workprec():
-        eigvals, eigvecs = mp.eigsy(delta.entries)
+        values, vectors = _eigensystem(delta.entries)
         pairs = []
-        size = delta.n + 1
-        for k in range(size):
-            coeffs = [eigvecs[i, k] for i in range(size)]
+        for y, coeffs in zip(reversed(values), reversed(vectors)):
             # deterministic sign: largest-magnitude component positive
-            pivot = max(range(size), key=lambda i: abs(coeffs[i]))
-            if coeffs[pivot] < 0:
+            if max(coeffs, key=abs) < 0:
                 coeffs = [-c for c in coeffs]
-            pairs.append((eigvals[k],
-                          FourierCosineSignal(band_limit=delta.n, coeffs=tuple(coeffs))))
-        pairs.sort(key=lambda p: p[0], reverse=True)
+            pairs.append((y, FourierCosineSignal(band_limit=delta.n, coeffs=tuple(coeffs))))
     _warn_below_floor(pairs[-1][0], ctx, stacklevel=3)
     return pairs

@@ -230,6 +230,25 @@ class TestSpectrum:
         diagnostics = json.loads(lines[0][len("diagnostics: "):])
         assert diagnostics["unconverged_index"] == 0
 
+    def test_unconverged_slepian_ql_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the bordered solve (order 5) converges, the Slepian one (order 7) stalls
+        tridiag_eigen = solver.tridiag_eigen
+
+        def stall(ctx, d, e, z=False):
+            if len(d) == 7:
+                raise RuntimeError("tridiag_eigen: no convergence to an "
+                                   "eigenvalue after 230 iterations")
+            return tridiag_eigen(ctx, d, e, z)
+        monkeypatch.setattr(solver, "tridiag_eigen", stall)
+        code, text = run_cli(tmp_path, "baseline", "-n", "6", "-m", "3",
+                             "--interval", "1")
+        assert (code, text) == (3, "")
+        err = capsys.readouterr().err
+        assert "implicit QL on the symmetric matrix of order 7 did not converge" in err
+        lines = [l for l in err.splitlines() if l.startswith("diagnostics: ")]
+        assert len(lines) == 1
+        assert "unconverged_index" in json.loads(lines[0][len("diagnostics: "):])
+
 
 class TestArguments:
     def test_invalid_arguments_return_2(self, capsys):
@@ -313,6 +332,18 @@ class TestSweep:
                              "--interval", "0.015625", "--m-values", "3,6")
         assert code == 0
         assert set(parse_document(text)["errors"]) == {"3", "6"}
+
+    def test_no_method_option(self, tmp_path, capsys):
+        # sweeps always solve with secular: no --method, and none echoed
+        code, text = run_cli(tmp_path, "sweep", "-n", "5", "-m", "3",
+                             "--a-values", "0.4,0.2", "--precision", "30",
+                             "--method", "jacobi")
+        assert (code, text) == (2, "")
+        assert "unrecognized arguments: --method jacobi" in capsys.readouterr().err
+        code, text = run_cli(tmp_path, "sweep", "-n", "5", "-m", "3",
+                             "--a-values", "0.4,0.2", "--precision", "30")
+        assert code == 0
+        assert "method" not in parse_document(text)["config"]
 
     def test_needs_exactly_one_grid(self, tmp_path):
         code, _ = run_cli(tmp_path, "sweep", "-n", "5", "-m", "3")

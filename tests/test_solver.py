@@ -377,6 +377,7 @@ class TestFreePartFromEigenvector:
                             lambda *args, **kw: calls.append(args) or eigsy(*args, **kw))
         assert len(secular_spectrum(delta, frame, CTX30)) == 6
         TestDeflation().test_decoupled_pole_becomes_root()
+        assert len(slepian_modes(delta, CTX30)) == 11
         assert calls == []
 
 
@@ -477,6 +478,40 @@ class TestEigensystem:
                     gap = values[i] - values[j]
                     bound = 100 * mp.eps if gap < norm / 10 ** 6 else 2 * tol / gap
                     assert abs(mp.fdot(zi, zj)) <= bound
+        with mp.workdps(2 * digits):
+            exact = mp.eigsy(a, eigvals_only=True)
+            assert all(abs(y - x) <= tol for y, x in zip(values, exact))
+
+
+class TestJacobiEigensystem:
+    """solver._jacobi_eigensystem, the bordered eigensolve of jacobi_spectrum."""
+
+    @given(order=st.integers(1, 20), digits=st.integers(30, 100),
+           grading=st.integers(0, 25), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_graded_positive_definite(self, order, digits, grading, seed):
+        # Q diag(1 ... 10^-grading) Q^T, Q a product of order Householder
+        # reflections of random vectors
+        rng = random.Random(seed)
+        with mp.workdps(digits):
+            lam = [mpf(10) ** (-grading * i / max(order - 1, 1)) for i in range(order)]
+            a = mp.diag(lam)
+            for _ in range(order):
+                w = mp.matrix([mpf(rng.uniform(-1, 1)) for _ in range(order)])
+                h = mp.eye(order) - 2 * w * w.T / mp.fdot(w, w)
+                a = h * a * h
+            a = (a + a.T) / 2
+            values, vectors = solver._jacobi_eigensystem(a)
+            norm = mp.mnorm(a, 1)
+            tol = 100 * mp.eps * norm
+            assert values == sorted(values)
+            for y, z in zip(values, vectors):
+                residual = a * mp.matrix(z) - y * mp.matrix(z)
+                assert mp.norm(residual) <= tol
+            for i, zi in enumerate(vectors):
+                assert abs(mp.fdot(zi, zi) - 1) <= 100 * mp.eps
+                for zj in vectors[:i]:
+                    assert abs(mp.fdot(zi, zj)) <= 100 * mp.eps
         with mp.workdps(2 * digits):
             exact = mp.eigsy(a, eigvals_only=True)
             assert all(abs(y - x) <= tol for y, x in zip(values, exact))
