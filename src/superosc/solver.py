@@ -20,8 +20,8 @@ which solves (Delta_free - Y) x = -g.  A vanishing z_last marks a free
 direction decoupled from the constraints (deflation): only such a root
 takes an LU solve.  Each symmetric eigensolve returns ascending eigenvalues
 and unit eigenvectors as lists, or raises SolverFailure: _eigensystem
-(tridiagonalization, implicit QL, tridiagonal inverse iteration) for K in
-secular_spectrum and Delta in slepian_modes, _jacobi_eigensystem (cyclic
+(symmetric.eigensystem: tridiagonal QL and inverse iteration on ints) for
+K in secular_spectrum and Delta in slepian_modes, _jacobi_eigensystem (mpf
 Jacobi rotations), the independent cross-check, for K in jacobi_spectrum.
 """
 
@@ -29,13 +29,13 @@ import warnings
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
-from mpmath.matrices.eigen_symmetric import r_sy_tridiag, tridiag_eigen
 
 from .constraints import RotatedFrame
 from .context import FAST, Context
 from .domains import OverlapMatrix
 from .errors import PrecisionWarning, SolverFailure
 from .signals import FourierCosineSignal
+from .symmetric import eigensystem
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def _bordered(delta: OverlapMatrix, frame: RotatedFrame):
     return bordered, norm
 
 
-def _reconstruct(y, z, bordered, norm, frame, ctx):
+def _reconstruct(y, z, rows, norm, frame, ctx):
     """Free part, signal, residuals and deflation flag for one root y.
 
     The free part solves (Delta_free - y) x = -g, Delta_free = K[0:f, 0:f]
@@ -94,9 +94,10 @@ def _reconstruct(y, z, bordered, norm, frame, ctx):
         scale = norm / z[f]
         free_part = mp.matrix([zi * scale for zi in z[:f]]) if f else mp.matrix(0, 1)
     else:
-        system = bordered[0:f, 0:f] - y * mp.eye(f) + mp.matrix(z[:f]) * mp.matrix([z[:f]])
+        system = (mp.matrix([row[:f] for row in rows[:f]]) - y * mp.eye(f)
+                  + mp.matrix(z[:f]) * mp.matrix([z[:f]]))
         try:
-            free_part = mp.lu_solve(system, -norm * bordered[0:f, f])
+            free_part = mp.lu_solve(system, mp.matrix([-norm * row[f] for row in rows[:f]]))
             # a free part past the deflation threshold ||mu~||/bracket_rtol:
             # the lift left a coupled free-block eigenvalue at y
             if mp.norm(free_part) * ctx.bracket_rtol > norm:
@@ -113,7 +114,7 @@ def _reconstruct(y, z, bordered, norm, frame, ctx):
     # stationarity residual, its last the secular one over ||mu~||, which a
     # deflated root (z_last = 0) satisfies for any free part
     u = list(free_part) + [norm]
-    r = [mp.fdot(row, u) - y * ui for row, ui in zip(bordered.tolist(), u)]
+    r = [mp.fdot(row, u) - y * ui for row, ui in zip(rows, u)]
     residual = mp.sqrt(mp.fdot(r[0:f], r[0:f]))
     secular = mpf(0) if deflated else norm * abs(r[f])
     return free_part, signal, residual, secular, deflated
@@ -145,8 +146,8 @@ def _spectrum(delta, frame, ctx, kernel, method):
                     "degenerate generalized eigenvalues at working precision",
                     diagnostics={"roots": roots},
                 )
-        parts = [_reconstruct(y, z, bordered, norm, frame, ctx)
-                 for y, z in zip(roots, vectors)]
+        rows = bordered.tolist()
+        parts = [_reconstruct(y, z, rows, norm, frame, ctx) for y, z in zip(roots, vectors)]
         free_parts, signals, stationarity, sec_res, defl_flags = zip(*parts)
         _warn_below_floor(roots[0], ctx, stacklevel=4)
     return GeneralizedSpectrum(
@@ -163,69 +164,13 @@ def _spectrum(delta, frame, ctx, kernel, method):
     )
 
 
-def _eigensystem(matrix):
-    """Ascending eigenvalues and unit eigenvectors (lists) of a symmetric matrix.
+# QL iterations per eigenvalue (EISPACK imtql1's limit); tests take at most 6.
+QL_MAX_ITERATIONS = 30
 
-    mpmath's EISPACK tred2 and implicit QL without vectors (r_sy_tridiag and
-    tridiag_eigen) tridiagonalize from the last row up (the last coordinate
-    is never rotated: Q's last row is e_n) and give the eigenvalues.  Each
-    vector comes from inverse iteration on T (Peters & Wilkinson, EISPACK
-    tinvit): a pivoted LU of T - y, two back-substitutions from the all-ones
-    vector, each followed by Gram-Schmidt against the earlier vectors within
-    1e-3 ||T|| (coincident eigenvalues shifted apart by eps ||T||); z = Q v.
-    """
-    size, a = matrix.rows, matrix.copy()
-    d, e = [mpf(0)] * size, [mpf(0)] * size
-    r_sy_tridiag(mp, a, d, e, False)
-    cols = a.T.tolist()  # reflection i's vector is cols[i][:i], zero if skipped
-    reflections = [(u, mp.fdot(u, u) / 2) for u in
-                   (cols[i][:i] for i in range(2, size)) if any(u)]
-    values, off = d[:], e[:]
-    try:
-        tridiag_eigen(mp, values, off, False)
-    except RuntimeError as exc:
-        # QL settles eigenvalues in order: the first unsplit off-diagonal is stuck
-        index = next((k for k in range(size - 1) if abs(off[k]) > mp.eps * (
-            abs(values[k]) + abs(values[k + 1]))), size - 1)
-        raise SolverFailure("implicit QL on the symmetric matrix of order %d did not "
-                            "converge" % size, diagnostics={"unconverged_index": index}) from exc
-    norm = max(abs(d[i]) + abs(e[i]) + abs(e[i - 1]) for i in range(size)) or mpf(1)  # e[-1] = 0
-    eps3, vectors, group, last = mp.eps * norm, [], [], None
-    for y in values:
-        if last is None or y - last >= norm / 1000:
-            group = []
-        elif y <= last:
-            y = last + eps3
-        last, pivots, steps, top = y, [], [], [d[0] - y, e[0], mpf(0)]
-        for i in range(size - 1):  # T - y = P L U, U with two superdiagonals
-            row = [e[i], d[i + 1] - y, e[i + 1]]
-            swap = abs(row[0]) > abs(top[0])
-            top, row = (row, top) if swap else (top, row)
-            m = row[0] / top[0] if top[0] else mpf(0)
-            pivots.append(top)
-            steps.append((swap, m))
-            top = [row[1] - m * top[1], row[2] - m * top[2], mpf(0)]
-        pivots.append(top)
-        v = [mpf(1)] * size
-        for sweep in range(2):
-            for i, (swap, m) in enumerate(steps if sweep else ()):  # v <- L^-1 P v
-                if swap:
-                    v[i], v[i + 1] = v[i + 1], v[i]
-                v[i + 1] -= m * v[i]
-            x = [mpf(0)] * (size + 2)  # two zeros past the end for the last rows
-            for i in range(size - 1, -1, -1):
-                u0, u1, u2 = pivots[i]
-                x[i] = (v[i] - u1 * x[i + 1] - u2 * x[i + 2]) / (u0 or eps3)
-            dots = [mp.fdot(x, w) for w in group]  # fdot zips: stops at w's end
-            v = [xi - mp.fdot(dots, col) for xi, col in zip(x, zip(*group))] if group else x[:size]
-        scale = 1 / mp.sqrt(mp.fdot(v, v))
-        group.append([vi * scale for vi in v])
-        z = group[-1][:]
-        for u, h in reflections:
-            c = mp.fdot(z, u) / h
-            z[:len(u)] = [zi - c * ui for zi, ui in zip(z, u)]
-        vectors.append(z)
-    return values, vectors
+
+def _eigensystem(matrix):
+    """symmetric.eigensystem (fixed point, F = 2p + 64) capped at QL_MAX_ITERATIONS."""
+    return eigensystem(matrix, QL_MAX_ITERATIONS)
 
 
 # Tests reach at most 17 sweeps (N=20, M=3 on (-1, 1) at 100 digits, order

@@ -216,10 +216,7 @@ class TestSpectrum:
 
     def test_unconverged_ql_prints_json_diagnostics(self, tmp_path, capsys,
                                                     monkeypatch):
-        def stall(*args):
-            raise RuntimeError("tridiag_eigen: no convergence to an "
-                               "eigenvalue after 230 iterations")
-        monkeypatch.setattr(solver, "tridiag_eigen", stall)
+        monkeypatch.setattr(solver, "QL_MAX_ITERATIONS", 0)
         code, _ = run_cli(tmp_path, "spectrum", "-n", "6", "-m", "3",
                           "--interval", "1")
         assert code == 3
@@ -232,14 +229,12 @@ class TestSpectrum:
 
     def test_unconverged_slepian_ql_exits_3(self, tmp_path, capsys, monkeypatch):
         # the bordered solve (order 5) converges, the Slepian one (order 7) stalls
-        tridiag_eigen = solver.tridiag_eigen
+        eigensystem, cap = solver._eigensystem, solver.QL_MAX_ITERATIONS
 
-        def stall(ctx, d, e, z=False):
-            if len(d) == 7:
-                raise RuntimeError("tridiag_eigen: no convergence to an "
-                                   "eigenvalue after 230 iterations")
-            return tridiag_eigen(ctx, d, e, z)
-        monkeypatch.setattr(solver, "tridiag_eigen", stall)
+        def stall(matrix):
+            monkeypatch.setattr(solver, "QL_MAX_ITERATIONS", 0 if matrix.rows == 7 else cap)
+            return eigensystem(matrix)
+        monkeypatch.setattr(solver, "_eigensystem", stall)
         code, text = run_cli(tmp_path, "baseline", "-n", "6", "-m", "3",
                              "--interval", "1")
         assert (code, text) == (3, "")

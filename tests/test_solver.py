@@ -1,5 +1,7 @@
 """Tests for the generalized spectrum solver and baselines."""
 
+import ast
+import inspect
 import random
 import warnings
 
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from superosc import solver
+from superosc import solver, symmetric
 from superosc import (
     Context,
     Domain,
@@ -423,16 +425,31 @@ class TestDegenerateFailure:
             secular_spectrum(delta, frame, CTX)
 
 
+def graded_positive_definite(order, grading, rng):
+    """Q diag(1 ... 10^-grading) Q^T at the current precision, Q a product of
+    order Householder reflections of random vectors."""
+    lam = [mpf(10) ** (-grading * i / max(order - 1, 1)) for i in range(order)]
+    a = mp.diag(lam)
+    for _ in range(order):
+        w = mp.matrix([mpf(rng.uniform(-1, 1)) for _ in range(order)])
+        h = mp.eye(order) - 2 * w * w.T / mp.fdot(w, w)
+        a = h * a * h
+    return (a + a.T) / 2
+
+
 def random_symmetric(order, kind, rng):
     """A random symmetric matrix at the current precision.
 
     kind "dense": uniform entries in [-1, 1]; "cluster": Q diag(lam) Q^T
     with two eigenvalues 1e-12 apart and Q a Householder reflection;
-    "blocks": two dense blocks on the diagonal, decoupled.
+    "blocks": two dense blocks on the diagonal, decoupled; "graded":
+    graded_positive_definite with a grading of 0 to 25 decades.
     """
     def dense(n):
         b = [[mpf(rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
         return [[(b[i][j] + b[j][i]) / 2 for j in range(n)] for i in range(n)]
+    if kind == "graded":
+        return graded_positive_definite(order, rng.randint(0, 25), rng)
     if kind == "dense" or order < 2:
         return mp.matrix(dense(order))
     if kind == "blocks":
@@ -449,14 +466,19 @@ def random_symmetric(order, kind, rng):
 
 
 class TestEigensystem:
-    """solver._eigensystem, the bordered eigensolve of secular_spectrum."""
+    """solver._eigensystem (symmetric.eigensystem), the fixed-point eigensolve
+    of secular_spectrum and slepian_modes."""
 
     @given(order=st.integers(1, 20), digits=st.integers(30, 100),
-           kind=st.sampled_from(["dense", "cluster", "blocks"]),
+           kind=st.sampled_from(["dense", "cluster", "blocks", "graded"]),
            seed=st.integers(0, 2 ** 32 - 1))
-    # two eigenvalues 1.46e-3 apart, outside one Gram-Schmidt group: their
-    # vectors are 3.4e-29 (170 eps) from orthogonal
+    # two eigenvalues 1.46e-3 apart, outside one Gram-Schmidt group: only
+    # the residuals keep their vectors orthogonal
     @example(order=14, digits=30, kind="cluster", seed=23999895)
+    # Q I Q^T (grading 0): T's off-diagonals start near eps ||A||, and
+    # deflating them at 2^-p (|d_m| + |d_m+1|) moves the eigenvalues by up
+    # to 1.95 eps ||A||; at 2^-(p+8) they move by 0.36 eps ||A||
+    @example(order=8, digits=40, kind="graded", seed=316)
     @settings(max_examples=30, deadline=None)
     def test_matches_eigsy_with_small_residuals(self, order, digits, kind, seed):
         with mp.workdps(digits):
@@ -464,8 +486,8 @@ class TestEigensystem:
             values, vectors = solver._eigensystem(a)
             norm = mp.mnorm(a, 1)
             tol = 100 * mp.eps * norm
-            # the tridiagonal form and its QL are eigsy's own
-            assert values == list(mp.eigsy(a, eigvals_only=True))
+            bound = mp.eps * norm
+            assert values == sorted(values)
             for y, z in zip(values, vectors):
                 residual = a * mp.matrix(z) - y * mp.matrix(z)
                 assert mp.norm(residual) <= tol
@@ -476,11 +498,57 @@ class TestEigensystem:
                     # orthogonal; farther apart, the residuals bound
                     # |zi.zj| by (|ri| + |rj|)/gap
                     gap = values[i] - values[j]
-                    bound = 100 * mp.eps if gap < norm / 10 ** 6 else 2 * tol / gap
-                    assert abs(mp.fdot(zi, zj)) <= bound
+                    bound_ij = 100 * mp.eps if gap < norm / 10 ** 6 else 2 * tol / gap
+                    assert abs(mp.fdot(zi, zj)) <= bound_ij
         with mp.workdps(2 * digits):
             exact = mp.eigsy(a, eigvals_only=True)
-            assert all(abs(y - x) <= tol for y, x in zip(values, exact))
+            assert all(abs(y - x) <= bound for y, x in zip(values, exact))
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_scalar_and_split_matrices(self, order):
+        # T splits everywhere: each block's vector is found on its own, so
+        # no Gram-Schmidt can wipe one out inside a group of equal values
+        with mp.workdps(50):
+            repeated = [1, 1, 2, 2, 3, 3][:order]
+            for a in (mp.zeros(order, order), mp.eye(order), 2 * mp.eye(order),
+                      mp.diag(repeated), mp.diag(repeated[::-1])):
+                values, vectors = solver._eigensystem(a)
+                norm = mp.mnorm(a, 1)
+                assert values == sorted(a[i, i] for i in range(order))
+                for y, z in zip(values, vectors):
+                    assert mp.norm(a * mp.matrix(z) - y * mp.matrix(z)) <= mp.eps * norm
+                for i, zi in enumerate(vectors):
+                    assert abs(mp.fdot(zi, zi) - 1) <= mp.eps
+                    for zj in vectors[:i]:
+                        assert abs(mp.fdot(zi, zj)) <= mp.eps
+
+    def test_runs_on_ints(self, monkeypatch):
+        # tridiagonalization, QL, inverse iteration and the back-transform
+        # run on ints: only converting the n^2 entries in (ldexp) and the n
+        # values and n^2 vector entries out may touch mpf, and none of those
+        # is an mpf operator
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__pow__", "__abs__", "__neg__"):
+            method = getattr(mp.mpf, name)
+            monkeypatch.setattr(mp.mpf, name, lambda *a, _m=method, _n=name:
+                                calls.append(_n) or _m(*a))
+        with mp.workdps(100):
+            a = random_symmetric(12, "dense", random.Random(1701))
+            calls.clear()
+            values, vectors = solver._eigensystem(a)
+            assert calls == []
+            assert len(values) == 12 and abs(mp.fdot(vectors[0], vectors[0]) - 1) < mp.eps
+            assert calls  # the guard sees the operators the check above used
+
+    @pytest.mark.parametrize("module", [solver, symmetric], ids=["solver", "symmetric"])
+    def test_imports_nothing_from_mpmath_matrices(self, module):
+        tree = ast.parse(inspect.getsource(module))
+        modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        assert "mpmath" in modules
+        assert not [m for m in modules if m.startswith("mpmath.matrices")]
 
 
 class TestJacobiEigensystem:
@@ -490,17 +558,8 @@ class TestJacobiEigensystem:
            grading=st.integers(0, 25), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_graded_positive_definite(self, order, digits, grading, seed):
-        # Q diag(1 ... 10^-grading) Q^T, Q a product of order Householder
-        # reflections of random vectors
-        rng = random.Random(seed)
         with mp.workdps(digits):
-            lam = [mpf(10) ** (-grading * i / max(order - 1, 1)) for i in range(order)]
-            a = mp.diag(lam)
-            for _ in range(order):
-                w = mp.matrix([mpf(rng.uniform(-1, 1)) for _ in range(order)])
-                h = mp.eye(order) - 2 * w * w.T / mp.fdot(w, w)
-                a = h * a * h
-            a = (a + a.T) / 2
+            a = graded_positive_definite(order, grading, random.Random(seed))
             values, vectors = solver._jacobi_eigensystem(a)
             norm = mp.mnorm(a, 1)
             tol = 100 * mp.eps * norm
