@@ -29,6 +29,7 @@ from .design import design_spectrum
 from .domains import Domain, OverlapMatrix, overlap_matrix, symmetrize_domain
 from .errors import RankDeficientConstraints, SolverFailure
 from .signals import FourierCosineSignal, cosine_basis, energy_per_period
+from .symmetric import fixed
 
 GRID_DENSITY = 10 ** 5  # crossing-count samples per unit length
 
@@ -222,7 +223,7 @@ def _hessenberg_eigenvalues(h):
     n, prec = len(h), mp.prec
     frac, floor = 2 * prec + 64, 1 << (prec + 64)
     top = mp.frexp(mp.fsum(abs(x) for row in h for x in row))[1]
-    h = [[int(mp.ldexp(x, frac - top)) for x in row] for row in h]
+    h = [[fixed(x, frac - top) for x in row] for row in h]
     values, shift, hi, its = [], 0, n - 1, 0
     while hi >= 0:
         l = hi  # h splits above row l where h[l][l-1] is below rounding

@@ -2,20 +2,22 @@
 
 Constraints pin the signal to prescribed values at given points.  The
 standard construction for forcing fast oscillation places M equally spaced
-points on a subinterval with alternating +-1 targets.  The frame machinery
-rotates coefficient space so the last M coordinates are fixed by the
-constraints and the remaining N+1-M are free: one full Householder QR of
-the transposed constraint matrix gives orthonormal bases of the constraint
-row space and of its null space (the null-space method).
+points on a subinterval with alternating +-1 targets.  The frame rotates
+coefficient space so the last M coordinates are fixed by the constraints
+and the remaining N+1-M are free (the null-space method): one Householder
+QR of the transposed constraint matrix, on Python ints, gives orthonormal
+bases of the constraint row space and of its null space.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from mpmath import mp, mpf
 
 from .context import FAST, Context
 from .errors import InfeasibleConstraints, RankDeficientConstraints
 from .signals import cosine_basis
+from .symmetric import fixed, fixed_rows, householder, reflect
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,6 @@ class ConstraintMatrix:
     def m(self):
         return len(self.points)
 
-    def row(self, j):
-        return self.entries[j, :].T
-
 
 def constraint_matrix(cs: ConstraintSet, n: int, ctx: Context = FAST) -> ConstraintMatrix:
     """Evaluate the cosine basis at the constraint points."""
@@ -87,49 +86,61 @@ def _check_targets(cm: ConstraintMatrix, values):
         raise ValueError("%d target values for %d constraint rows" % (len(values), cm.m))
 
 
-def _dependent_rows(rows, tol):
-    """Indices of the rows within relative tol of the span of the kept rows before them."""
-    basis, dropped = [], []
-    for j, v in enumerate(rows):
-        w = v
-        for _ in range(2):
-            for u in basis:
-                w = w - u * (u.T * w)[0]
-        nrm = mp.norm(w)
-        if nrm <= tol * mp.norm(v):
-            dropped.append(j)
-        else:
-            basis.append(w / nrm)
-    return dropped
+def _factor(cm: ConstraintMatrix, values, tol, drop):
+    """Householder QR C^T = Q R on ints, C in units 2^-F s as in
+    symmetric.eigensystem (F = 2p + 64, s = sum |c_jk| up to a power of 2).
 
-
-def _row_space_qr(cm: ConstraintMatrix, values, rank_tol):
-    """Q of the full QR C^T = Q R with R's diagonal positive, and mu~.
-
-    Q's leading M columns are the Gram-Schmidt basis of the rows in order
-    and the rest span their null space.  C = R^T Q^T, so C A = mu fixes the
-    row-space coordinates of A to the solution mu~ of R^T mu~ = mu.
+    Row j is dependent once the earlier rows' reflectors leave it a tail of
+    norm |r_jj| <= tol ||row j||: with drop it gets no reflector, else the
+    dependent rows raise RankDeficientConstraints.  R's diagonal is made
+    positive.  Returns Q's columns (none with drop), null space first, as
+    rotation rows of mpf, mu~ solving R^T mu~ = mu over the kept rows, and
+    (j, |c_j p - mu_j|) for each dropped row, p = Q (mu~, 0) the kept rows'
+    minimum-norm interpolant.
     """
-    q, r = mp.qr(cm.entries.T, mode="full")
-    dependent = [j for j in range(cm.m) if abs(r[j, j]) <= rank_tol * mp.norm(cm.row(j))]
-    if dependent:
+    frac, size = 2 * mp.prec + 64, cm.n + 1
+    a, top = fixed_rows(cm.entries.tolist(), frac)
+    (mu,), mtop = fixed_rows([values], frac)
+    cut, norms = fixed(tol, frac), [sum(map(mul, x, x)) for x in a]
+    kept, dependent, reflectors = [], [], []
+    for j, x in enumerate(a):  # x: row j reflected by every reflector so far
+        k, tail = len(kept), x[len(kept):]
+        if sum(map(mul, tail, tail)) << 2 * frac <= cut * cut * norms[j]:
+            dependent.append(j)
+            if drop or not any(tail):
+                continue
+        v, rjj = householder(tail, 0, frac)
+        for y in a:
+            reflect(y, v, k, frac)
+        x[k:] = [rjj] + [0] * (size - k - 1)
+        reflectors.append(v)
+        kept.append(j)
+    if dependent and not drop:
         raise RankDeficientConstraints(
             "constraint rows %s are linearly dependent at relative tolerance %s; "
             "raise the precision to separate nearly dependent rows, or drop "
-            "truly redundant ones with reduce_rank" % (dependent, mp.nstr(rank_tol, 3))
-        )
-    mu_tilde = mp.lu_solve(r[0:cm.m, 0:cm.m].T, mp.matrix(list(values)))
-    for j in range(cm.m):
-        if r[j, j] < 0:
-            q[:, j], mu_tilde[j] = -q[:, j], -mu_tilde[j]
-    return q, mu_tilde
+            "truly redundant ones with reduce_rank" % (dependent, mp.nstr(tol, 3)))
+    signs = [1 if a[j][i] > 0 else -1 for i, j in enumerate(kept)] + [1] * (size - len(kept))
+    r = [[sign * xi for sign, xi in zip(signs, x)] for x in a]
+    mt = []  # mu~ in units 2^(mtop - top - F), R in units 2^(top - F)
+    for i, j in enumerate(kept):
+        mt.append(((mu[j] << frac) - sum(map(mul, r[j][:i], mt))) // r[j][i])
+    q = [] if drop else [[sign << frac if i == c else 0 for i in range(size)]
+                         for c, sign in enumerate(signs)]
+    for k in range(len(kept) - 1, -1, -1):
+        for z in q:
+            reflect(z, reflectors[k], k, frac)
+    return ([[mpf((z, -frac)) for z in col] for col in q[len(kept):] + q[:len(kept)]],
+            [mpf((m, mtop - top - frac)) for m in mt],
+            [(j, mpf((abs(sum(map(mul, r[j], mt)) - (mu[j] << frac)), mtop - 2 * frac)))
+             for j in dependent])
 
 
 def reduce_rank(cm: ConstraintMatrix, values, tol, ctx: Context = FAST):
     """Drop dependent constraint rows, verifying each dropped one is implied.
 
-    Runs a rank-revealing orthogonalization over the rows in order, keeping
-    the first maximal independent subset.  Every eliminated row must be
+    Runs _factor's rank-revealing QR over the rows in order, keeping the
+    first maximal independent subset.  Every eliminated row must be
     satisfied automatically by the kept ones: its predicted value under the
     minimum-norm interpolant of the kept rows has to match within tol,
     otherwise the system is contradictory.
@@ -139,23 +150,20 @@ def reduce_rank(cm: ConstraintMatrix, values, tol, ctx: Context = FAST):
         raise ValueError("tolerance must be positive")
     _check_targets(cm, values)
     with ctx.workprec():
-        dropped = _dependent_rows([cm.row(j) for j in range(cm.m)], tol)
-        if not dropped:
-            return cm, tuple(mpf(v) for v in values)
-        kept = [j for j in range(cm.m) if j not in dropped]
-        kept_cm = ConstraintMatrix(n=cm.n, entries=mp.matrix([list(cm.row(j)) for j in kept]),
-                                   points=tuple(cm.points[j] for j in kept))
-        kept_values = tuple(mpf(values[j]) for j in kept)
-        q, mu_tilde = _row_space_qr(kept_cm, kept_values, tol)
-        particular = q[:, 0:len(kept)] * mu_tilde
-        for j in dropped:
-            residual = abs((cm.row(j).T * particular)[0] - mpf(values[j]))
+        dropped = dict(_factor(cm, values, tol, drop=True)[2])
+        for j, residual in dropped.items():
             if residual >= tol:
                 raise InfeasibleConstraints(
                     "constraint %d is dependent but contradicts the others "
                     "(residual %s)" % (j, mp.nstr(residual, 5))
                 )
-        return kept_cm, kept_values
+        if not dropped:
+            return cm, tuple(mpf(v) for v in values)
+        kept = [j for j in range(cm.m) if j not in dropped]
+        rows = cm.entries.tolist()
+        kept_cm = ConstraintMatrix(n=cm.n, entries=mp.matrix([rows[j] for j in kept]),
+                                   points=tuple(cm.points[j] for j in kept))
+        return kept_cm, tuple(mpf(values[j]) for j in kept)
 
 
 @dataclass(frozen=True)
@@ -166,7 +174,8 @@ class RotatedFrame:
     the unconstrained directions (the null space of the constraint matrix),
     the last M rows span the constraint row space.  A coefficient vector A
     maps to B = rotation*A whose trailing M entries must equal mu_tilde.
-    completion_seed is only recorded: no entry depends on it.
+    completion_seed is only recorded: no entry depends on it.  assemble and
+    the solver's K = W Delta W^T are integer dot products over int_rows.
     """
 
     rotation: object  # (N+1)x(N+1) mp.matrix
@@ -176,13 +185,28 @@ class RotatedFrame:
     points: tuple
     values: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "_int_rows", {})
+
+    def int_rows(self):
+        """(rows, F): the rotation's rows as ints in units 2^-F, converted once
+        per precision.  F = p + 64 at the current precision p: one product of
+        p-bit entries needs no more, unlike the iterated QR and eigensolves."""
+        frac = mp.prec + 64
+        if frac not in self._int_rows:
+            self._int_rows[frac] = [[fixed(x, frac) for x in row] for row in self.rotation.tolist()]
+        return self._int_rows[frac], frac
+
     @property
     def n(self):
         return self.rotation.rows - 1
 
     def assemble(self, free_part):
-        """Coefficient row vector from free coordinates plus the fixed block."""
-        return mp.matrix([list(free_part) + list(self.mu_tilde)]) * self.rotation
+        """Coefficient row vector from free coordinates plus the fixed block,
+        each coefficient an integer dot product rounded once."""
+        rows, frac = self.int_rows()
+        (b,), top = fixed_rows([list(free_part) + list(self.mu_tilde)], frac)
+        return mp.matrix([[mpf((sum(map(mul, b, col)), top - 2 * frac)) for col in zip(*rows)]])
 
     def particular_solution(self):
         """Minimum-norm coefficient vector satisfying all constraints."""
@@ -194,20 +218,20 @@ def orthonormal_frame(
 ) -> RotatedFrame:
     """Build the constraint-adapted orthonormal frame from one QR of C^T.
 
-    The rotation's rows are the null-space columns of Q followed by the
-    row-space ones.  The frame is fully determined by the constraints;
-    completion_seed is accepted and recorded but no number depends on it.
+    The rotation's rows are the null-space columns of _factor's Q followed
+    by the row-space ones.  The frame is fully determined by the
+    constraints; completion_seed is accepted and recorded but no number
+    depends on it.
     """
     if cm.m > cm.n + 1:
         raise ValueError("no solution for M>N+1")
     _check_targets(cm, values)
     with ctx.workprec():
-        q, mu_tilde = _row_space_qr(cm, values, ctx.rank_tolerance)
-        order = list(range(cm.m, cm.n + 1)) + list(range(cm.m))
+        rotation, mu_tilde, _ = _factor(cm, values, ctx.rank_tolerance, drop=False)
         return RotatedFrame(
-            rotation=mp.matrix([list(q[:, i]) for i in order]),
+            rotation=mp.matrix(rotation),
             free_dim=cm.n + 1 - cm.m,
-            mu_tilde=mu_tilde,
+            mu_tilde=mp.matrix(mu_tilde),
             completion_seed=completion_seed,
             points=tuple(cm.points),
             values=tuple(mpf(v) for v in values),

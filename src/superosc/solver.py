@@ -18,15 +18,18 @@ is the secular function.  An eigenvector z = (z_free, z_last) scaled to meet
 the constraints gives the signal's free part x = z_free*||mu~||/z_last,
 which solves (Delta_free - Y) x = -g.  A vanishing z_last marks a free
 direction decoupled from the constraints (deflation): only such a root
-takes an LU solve.  Each symmetric eigensolve returns ascending eigenvalues
-and unit eigenvectors as lists, or raises SolverFailure: _eigensystem
+takes an LU solve.  K, the coefficients and the residuals are integer dot
+products.  Each symmetric eigensolve returns ascending eigenvalues and unit
+eigenvectors as lists, or raises SolverFailure: _eigensystem
 (symmetric.eigensystem: tridiagonal QL and inverse iteration on ints) for
 K in secular_spectrum and Delta in slepian_modes, _jacobi_eigensystem (mpf
 Jacobi rotations), the independent cross-check, for K in jacobi_spectrum.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
+from operator import mul
 
 from mpmath import mp, mpf
 
@@ -35,7 +38,7 @@ from .context import FAST, Context
 from .domains import OverlapMatrix
 from .errors import PrecisionWarning, SolverFailure
 from .signals import FourierCosineSignal
-from .symmetric import eigensystem
+from .symmetric import eigensystem, fixed, fixed_rows
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,9 @@ def _bordered(delta: OverlapMatrix, frame: RotatedFrame):
     """K = W Delta W^T and ||mu~||, at the caller's precision.
 
     W's rows are the frame's f null-space rows followed by p/||mu~||, p the
-    minimum-norm interpolant: one W*Delta product, then K's upper triangle
-    by fdot, mirrored so that K is exactly symmetric.
+    minimum-norm interpolant, as ints (frame.int_rows); with Delta's entries
+    as ints too, W Delta and K's upper triangle are integer dot products,
+    each entry rounded once and mirrored so that K is exactly symmetric.
     """
     if delta.n != frame.n:
         raise ValueError(
@@ -66,18 +70,19 @@ def _bordered(delta: OverlapMatrix, frame: RotatedFrame):
     norm = mp.sqrt(mp.fdot(frame.mu_tilde, frame.mu_tilde))
     if norm == 0:
         raise ValueError("constraint targets are all zero")
-    f = frame.free_dim
-    w = frame.rotation[0:f, :].tolist() + [[c / norm for c in frame.particular_solution()]]
-    columns = delta.entries.tolist()  # Delta is symmetric: its rows are its columns
-    wd = [[mp.fdot(row, col) for col in columns] for row in w]
+    (rows, frac), f = frame.int_rows(), frame.free_dim
+    unit = [fixed(c / norm, frac) for c in frame.mu_tilde]
+    w = rows[:f] + [[sum(map(mul, unit, col)) >> frac for col in zip(*rows[f:])]]
+    d, top = fixed_rows(delta.entries.tolist(), frac)  # Delta is symmetric: its rows are its columns
+    wd = [[sum(map(mul, row, col)) >> frac for col in d] for row in w]
     bordered = mp.zeros(f + 1, f + 1)
     for i in range(f + 1):
         for j in range(i, f + 1):
-            bordered[i, j] = bordered[j, i] = mp.fdot(wd[i], w[j])
+            bordered[i, j] = bordered[j, i] = mpf((sum(map(mul, wd[i], w[j])), top - 2 * frac))
     return bordered, norm
 
 
-def _reconstruct(y, z, rows, norm, frame, ctx):
+def _reconstruct(y, z, bordered, fixed_k, norm, frame, ctx):
     """Free part, signal, residuals and deflation flag for one root y.
 
     The free part solves (Delta_free - y) x = -g, Delta_free = K[0:f, 0:f]
@@ -86,7 +91,8 @@ def _reconstruct(y, z, rows, norm, frame, ctx):
     root, whose vanishing z_last makes y an eigenvalue of Delta_free with
     eigenvector z_free decoupled from g, takes an LU solve: adding
     z_free z_free^T lifts that direction and leaves the minimum-norm free
-    part, orthogonal to it.  (A unit z with z_last = 0 has f >= 1.)
+    part, orthogonal to it.  (A unit z with z_last = 0 has f >= 1.)  The
+    residuals are integer dot products over fixed_k, K's rows as ints.
     """
     f = frame.free_dim
     deflated = abs(z[f]) <= ctx.bracket_rtol
@@ -94,10 +100,10 @@ def _reconstruct(y, z, rows, norm, frame, ctx):
         scale = norm / z[f]
         free_part = mp.matrix([zi * scale for zi in z[:f]]) if f else mp.matrix(0, 1)
     else:
-        system = (mp.matrix([row[:f] for row in rows[:f]]) - y * mp.eye(f)
-                  + mp.matrix(z[:f]) * mp.matrix([z[:f]]))
+        system = mp.matrix([[bordered[i, j] + z[i] * z[j] - (y if i == j else 0)
+                             for j in range(f)] for i in range(f)])
         try:
-            free_part = mp.lu_solve(system, mp.matrix([-norm * row[f] for row in rows[:f]]))
+            free_part = mp.lu_solve(system, -norm * bordered[0:f, f])
             # a free part past the deflation threshold ||mu~||/bracket_rtol:
             # the lift left a coupled free-block eigenvalue at y
             if mp.norm(free_part) * ctx.bracket_rtol > norm:
@@ -113,10 +119,12 @@ def _reconstruct(y, z, rows, norm, frame, ctx):
     # r = (K - y) u with u = (x, ||mu~||): its first f rows are the
     # stationarity residual, its last the secular one over ||mu~||, which a
     # deflated root (z_last = 0) satisfies for any free part
-    u = list(free_part) + [norm]
-    r = [mp.fdot(row, u) - y * ui for row, ui in zip(rows, u)]
-    residual = mp.sqrt(mp.fdot(r[0:f], r[0:f]))
-    secular = mpf(0) if deflated else norm * abs(r[f])
+    (k, ktop), frac = fixed_k, mp.prec + 64
+    (u,), utop = fixed_rows([list(free_part) + [norm]], frac)
+    yk, exp = fixed(y, frac - ktop), ktop + utop - 2 * frac  # r in units 2^exp
+    r = [sum(map(mul, row, u)) - yk * ui for row, ui in zip(k, u)]
+    residual = mpf((math.isqrt(sum(map(mul, r[:f], r[:f]))), exp))
+    secular = mpf(0) if deflated else norm * mpf((abs(r[f]), exp))
     return free_part, signal, residual, secular, deflated
 
 
@@ -146,8 +154,9 @@ def _spectrum(delta, frame, ctx, kernel, method):
                     "degenerate generalized eigenvalues at working precision",
                     diagnostics={"roots": roots},
                 )
-        rows = bordered.tolist()
-        parts = [_reconstruct(y, z, rows, norm, frame, ctx) for y, z in zip(roots, vectors)]
+        fixed_k = fixed_rows(bordered.tolist(), mp.prec + 64)
+        parts = [_reconstruct(y, z, bordered, fixed_k, norm, frame, ctx)
+                 for y, z in zip(roots, vectors)]
         free_parts, signals, stationarity, sec_res, defl_flags = zip(*parts)
         _warn_below_floor(roots[0], ctx, stacklevel=4)
     return GeneralizedSpectrum(

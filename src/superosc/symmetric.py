@@ -1,4 +1,6 @@
-"""The symmetric eigensolve behind solver._eigensystem, on Python ints."""
+"""Fixed point on Python ints: the exact mpf-to-int conversion and the
+Householder reflectors the int kernels share, and the symmetric eigensolve
+behind solver._eigensystem."""
 
 import math
 from operator import mul
@@ -6,6 +8,41 @@ from operator import mul
 from mpmath import mp, mpf
 
 from .errors import SolverFailure
+
+
+def fixed(x, shift):
+    """int(x 2^shift), truncated toward zero as int() does, built exactly from
+    x's mantissa and exponent: several times cheaper than int(mp.ldexp(...))."""
+    sign, man, exp, bits = (x if isinstance(x, mpf) else mpf(x))._mpf_
+    if bits < 0:  # mpmath's inf and nan: int() raises here too
+        raise ValueError("cannot convert %s to fixed point" % x)
+    exp += shift
+    man = man << exp if exp >= 0 else man >> -exp
+    return -man if sign else man
+
+
+def fixed_rows(rows, frac):
+    """(a, top): 2^top bounds the sum of all |x_ij| of rows of numbers, rounded
+    up to a power of two, and a_ij = fixed(x_ij, frac - top)."""
+    top = mp.frexp(mp.fsum((x for row in rows for x in row), absolute=True))[1]
+    return [[fixed(x, frac - top) for x in row] for row in rows], top
+
+
+def householder(x, pivot, frac):
+    """(v, r): P = I - v v^T, |v| = sqrt 2 in units 2^-frac, maps the int
+    vector x to r e_pivot, r = -sign(x_pivot) |x|; v comes from x shifted up
+    to frac + 8 bits, so that a tiny x keeps its direction."""
+    up = max(0, frac + 8 - max(map(abs, x)).bit_length())
+    x = [xi << up for xi in x]
+    s = math.isqrt(sum(map(mul, x, x))) * (-1 if x[pivot] > 0 else 1)
+    h, x[pivot] = math.isqrt(s * s - x[pivot] * s), x[pivot] - s
+    return [(xi << frac) // h for xi in x], s >> up
+
+
+def reflect(x, v, i, frac):
+    """x <- (I - v v^T) x on x[i:i + len(v)], v as householder's."""
+    c = sum(map(mul, x[i:], v)) >> frac
+    x[i:i + len(v)] = [xi - (c * vi >> frac) for xi, vi in zip(x[i:], v)]
 
 
 def eigensystem(matrix, max_iterations):
@@ -27,19 +64,14 @@ def eigensystem(matrix, max_iterations):
     """
     rows, size, prec = matrix.tolist(), matrix.rows, mp.prec
     frac, floor, one = 2 * prec + 64, 1 << (prec + 56), 1 << (2 * prec + 64)
-    top = mp.frexp(mp.fsum((x for row in rows for x in row), absolute=True))[1]
-    a = [[int(mp.ldexp(x, frac - top)) for x in row] for row in rows]
+    a, top = fixed_rows(rows, frac)
     e, reflectors = [0] * size, []  # e[k] couples k and k + 1
     for i in range(size - 1, 0, -1):  # reflect a[i][:i] onto its last coordinate
         x = a[i][:i]
         if not any(x[:-1]):
             e[i - 1] = x[-1]
             continue
-        up = max(0, frac + 8 - max(map(abs, x)).bit_length())
-        x = [xi << up for xi in x]
-        s = math.isqrt(sum(map(mul, x, x))) * (-1 if x[-1] > 0 else 1)
-        e[i - 1], h, x[-1] = s >> up, math.isqrt(s * s - x[-1] * s), x[-1] - s
-        v = [(xi << frac) // h for xi in x]  # P = I - v v^T, |v|^2 = 2
+        v, e[i - 1] = householder(x, -1, frac)
         p = [sum(map(mul, row, v)) >> frac for row in a[:i]]
         half = sum(map(mul, p, v)) >> (frac + 1)
         q = [pj - (half * vj >> frac) for pj, vj in zip(p, v)]
@@ -128,8 +160,7 @@ def eigensystem(matrix, max_iterations):
             group.append(v)
             z = [0] * lo + v + [0] * (size - hi)
             for u in reversed(reflectors):  # z <- Q z, the reflectors in reverse order
-                c = sum(map(mul, z, u)) >> frac
-                z[:len(u)] = [zi - (c * ui >> frac) for zi, ui in zip(z, u)]
+                reflect(z, u, 0, frac)
             pairs.append((value, [mpf((zi, -frac)) for zi in z]))
     pairs.sort(key=lambda pair: pair[0])
     return [mpf((y, top - frac)) for y, _ in pairs], [z for _, z in pairs]

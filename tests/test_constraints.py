@@ -1,10 +1,13 @@
 """Tests for constraint sets, rank reduction, and the rotated frame."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 from mpmath import mp, mpf
 
+from superosc import constraints
 from superosc import (
     ConstraintMatrix,
     ConstraintSet,
@@ -12,6 +15,7 @@ from superosc import (
     FourierCosineSignal,
     InfeasibleConstraints,
     RankDeficientConstraints,
+    RotatedFrame,
     alternating_constraints,
     constraint_matrix,
     evaluate,
@@ -246,3 +250,71 @@ class TestFrame:
         for i in range(4):
             assert inner[frame.free_dim + i, i] > 0
             assert all(abs(inner[frame.free_dim + i, j]) < 1e-13 for j in range(i))
+
+
+def _random_orthogonal(size, rng):
+    """Product of size Householder reflections of random vectors."""
+    q = mp.eye(size)
+    for _ in range(size):
+        w = mp.matrix([mpf(rng.uniform(-1, 1)) for _ in range(size)])
+        q = q * (mp.eye(size) - 2 * w * w.T / mp.fdot(w, w))
+    return q
+
+
+class TestIntegerFrame:
+    """The frame layer on ints: _factor's QR of C^T and assemble."""
+
+    def test_qr_runs_on_ints(self, monkeypatch):
+        # only converting C, mu and the tolerance in and Q and mu~ out may
+        # touch mpf, and none of those is an mpf operator
+        ctx = Context(100)
+        cs = alternating_constraints(0, 1, 6)
+        cm = constraint_matrix(cs, 20, ctx)
+        tol = ctx.rank_tolerance
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__pow__", "__abs__", "__neg__"):
+            method = getattr(mp.mpf, name)
+            monkeypatch.setattr(mp.mpf, name, lambda *a, _m=method, _n=name:
+                                calls.append(_n) or _m(*a))
+        with ctx.workprec():
+            calls.clear()
+            rotation, mu_tilde, misfits = constraints._factor(cm, cs.values, tol, drop=False)
+            assert calls == []
+            assert (len(rotation), len(rotation[0]), len(mu_tilde), misfits) == (21, 21, 6, [])
+            assert abs(mp.fdot(rotation[0], rotation[0]) - 1) < mp.eps
+            assert calls  # the guard sees the operators the check above used
+
+    def test_src_calls_no_mp_qr(self):
+        src = pathlib.Path(constraints.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            calls = [node.func.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+            assert "qr" not in calls, path.name
+
+    @pytest.mark.parametrize("digits", [15, 40, 100])
+    def test_assemble_matches_matrix_product(self, digits):
+        # each coefficient is one integer dot product rounded once: within
+        # eps of the product at twice the digits, plus 2^-32 eps of sum |b_i|
+        # for the truncation of b to p + 64 bits
+        rng = random.Random(digits)
+        ctx = Context(digits)
+        cs = alternating_constraints(0, "1.3", 5)
+        cm = constraint_matrix(cs, 12, ctx)
+        with ctx.workprec():
+            frame = orthonormal_frame(cm, cs.values, ctx=ctx)
+            turned = frame.rotation.copy()
+            turned[0:8, :] = _random_orthogonal(8, rng) * frame.rotation[0:8, :]
+            frames = [RotatedFrame(rotation=rotation, free_dim=8, mu_tilde=frame.mu_tilde,
+                                   completion_seed=0, points=cs.points, values=cs.values)
+                      for rotation in (_random_orthogonal(13, rng), turned)]
+            for frame in frames:
+                for scale in (mpf("1e-30"), 1, mpf("1e30")):
+                    free = [scale * mpf(rng.uniform(-1, 1)) for _ in range(8)]
+                    coeffs = frame.assemble(free)
+                    b = free + list(frame.mu_tilde)
+                    with mp.workdps(2 * ctx.work_dps):
+                        reference = mp.matrix([b]) * frame.rotation
+                        slack = mp.ldexp(mp.fsum(b, absolute=True), -32)
+                    for c, ref in zip(coeffs, reference):
+                        assert abs(c - ref) <= mp.eps * (abs(ref) + slack)

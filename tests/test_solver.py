@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from superosc import solver, symmetric
+from superosc import analysis, solver, symmetric
 from superosc import (
     Context,
     Domain,
@@ -462,7 +462,11 @@ def random_symmetric(order, kind, rng):
     lam[1] = lam[0] + mpf("1e-12")
     w = mp.matrix([mpf(rng.uniform(-1, 1)) for _ in range(order)])
     q = mp.eye(order) - 2 * w * w.T / mp.fdot(w, w)
-    return q * mp.diag(lam) * q.T
+    a = q * mp.diag(lam) * q.T  # symmetric only to rounding: mirror the upper triangle
+    for i in range(order):
+        for j in range(i):
+            a[i, j] = a[j, i]
+    return a
 
 
 class TestEigensystem:
@@ -540,6 +544,34 @@ class TestEigensystem:
             assert calls == []
             assert len(values) == 12 and abs(mp.fdot(vectors[0], vectors[0]) - 1) < mp.eps
             assert calls  # the guard sees the operators the check above used
+
+    def test_fixed_conversion_matches_ldexp(self, monkeypatch):
+        # symmetric.fixed builds int(x 2^shift) from the mantissa and exponent:
+        # the same ints as int(mp.ldexp(x, shift)), so both int kernels give
+        # bit-identical outputs with either conversion
+        with mp.workdps(100):
+            samples = [mpf(0), mpf(1), mpf(-1), mp.pi, -mp.pi / 7, mpf("-1e-90"),
+                       mpf("3e-200"), mpf("-3e-200"), mpf(2) ** 300, -mpf(2) ** -400]
+            for x in samples:
+                for shift in (-500, -7, 0, 1, 64, 400, 864):
+                    assert symmetric.fixed(x, shift) == int(mp.ldexp(x, shift))
+            for x in (mp.inf, -mp.inf, mp.nan):  # int() refuses them too
+                with pytest.raises(ValueError):
+                    symmetric.fixed(x, 0)
+            rng = random.Random(1801)
+            a = random_symmetric(9, "dense", rng)
+            a[0, 3] = a[3, 0] = mpf("-1e-95")  # tiny and negative
+            a[1, 2] = a[2, 1] = mpf(0)
+            coeffs = [mpf(rng.uniform(-1, 1)) for _ in range(8)] + [mpf(0), mpf("1e-90")]
+            h = [[mpf(0)] * 10 for _ in range(10)]
+            for i in range(9):
+                h[i][i + 1] = h[i + 1][i] = mpf(1) / 2
+            for k in range(10):
+                h[k][9] -= coeffs[k] / 2
+            outputs = [solver._eigensystem(a), analysis._hessenberg_eigenvalues(h)]
+            monkeypatch.setattr(symmetric, "fixed", lambda x, shift: int(mp.ldexp(x, shift)))
+            monkeypatch.setattr(analysis, "fixed", lambda x, shift: int(mp.ldexp(x, shift)))
+            assert [solver._eigensystem(a), analysis._hessenberg_eigenvalues(h)] == outputs
 
     @pytest.mark.parametrize("module", [solver, symmetric], ids=["solver", "symmetric"])
     def test_imports_nothing_from_mpmath_matrices(self, module):
