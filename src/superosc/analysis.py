@@ -5,17 +5,18 @@ quadratic form (the cosine-moment overlap matrix of domains.py) and by fixed
 rules on the squared signal: Gauss-Legendre on each domain interval, with a
 node count derived from an error bound, and the trapezoid rule on 2N+1
 nodes for the period, exact for f^2.  The rule route evaluates the signal
-through the cosine kernel (signals.cosine_basis) and shares only the basis
-normalizers with overlap_matrix, so their agreement is a real consistency
-check.  Oscillations are strict sign changes on a uniform grid (default
-density 1e5 points per unit length), samples within rounding of zero
-counting as zero.  Only the samples next to a root are evaluated, since
-the sign cannot change between them; the roots are the eigenvalues of the
-Chebyshev colleague matrix, whose transpose is already upper Hessenberg,
-found by a real double-shift QR that computes eigenvalues only.  The QR
-runs in fixed point on Python ints, in units of 2^-(2p+64) ||h||_1 at p
-bits of precision, and deflates a subdiagonal entry below eps ||h||_1 at
-the latest, the backward error of the same QR in mpf.
+through the integer cosine kernel (signals.series_values), which shares
+only the cached basis normalizers with overlap_matrix, so their agreement
+is a real consistency check.  Oscillations are strict sign changes on a
+uniform grid (default density 1e5 points per unit length), samples from
+the same kernel, those within rounding of zero counting as zero.  Only
+the samples next to a root are evaluated, since the sign cannot change
+between them; the roots are the eigenvalues of the Chebyshev colleague
+matrix, whose transpose is already upper Hessenberg, found by a real
+double-shift QR that computes eigenvalues only.  The QR runs in fixed
+point on Python ints, in units of 2^-(2p+64) ||h||_1 at p bits of
+precision, and deflates a subdiagonal entry below eps ||h||_1 at the
+latest, the backward error of the same QR in mpf.
 """
 
 import functools
@@ -28,8 +29,8 @@ from .context import FAST, Context
 from .design import design_spectrum
 from .domains import Domain, OverlapMatrix, overlap_matrix, symmetrize_domain
 from .errors import RankDeficientConstraints, SolverFailure
-from .signals import FourierCosineSignal, cosine_basis, energy_per_period
-from .symmetric import fixed
+from .signals import FourierCosineSignal, energy_per_period, series_values
+from .symmetric import fixed_rows
 
 GRID_DENSITY = 10 ** 5  # crossing-count samples per unit length
 
@@ -88,22 +89,20 @@ def _gauss_legendre(count, prec):
         return tuple((+x, +w) for x, w in rule)
 
 
-def _square_at(signal, t):
-    return mp.fdot(signal.coeffs, cosine_basis(signal.band_limit, t)) ** 2
-
-
 def _integrate_squared(signal, lo, hi, digits):
     """Integral of f^2 over [lo, hi] by one Gauss-Legendre rule."""
     half, mid = (hi - lo) / 2, (hi + lo) / 2
     rule = _gauss_legendre(_node_count(signal.band_limit, float(hi - lo), digits), mp.prec)
-    return half * mp.fsum(w * _square_at(signal, mid + half * x) for x, w in rule)
+    values = series_values(signal, [mid + half * x for x, _ in rule])
+    return half * mp.fsum(w * v * v for (_, w), v in zip(rule, values))
 
 
 def _integrate_squared_period(signal):
     """Integral of f^2 over one period, trapezoid rule on 2N+1 nodes (exact)."""
-    step = 2 * mp.pi / (2 * signal.band_limit + 1)
-    return step * mp.fsum(_square_at(signal, -mp.pi + k * step)
-                          for k in range(2 * signal.band_limit + 1))
+    nodes = 2 * signal.band_limit + 1
+    step = 2 * mp.pi / nodes
+    values = series_values(signal, [-mp.pi + k * step for k in range(nodes)])
+    return step * mp.fsum(v * v for v in values)
 
 
 def yield_of(signal: FourierCosineSignal, domain: Domain,
@@ -167,8 +166,7 @@ def zero_crossings(signal: FourierCosineSignal, domain: Domain,
             for t in roots:
                 cell = int(mp.floor((t - lo) / step))
                 kept.update(k for k in range(cell - 1, cell + 3) if 0 <= k < pts)
-            values = (mp.fdot(signal.coeffs, cosine_basis(signal.band_limit, lo + k * step))
-                      for k in sorted(kept))
+            values = series_values(signal, [lo + k * step for k in sorted(kept)])
             crossings += count_sign_changes(v if abs(v) > noise else 0 for v in values)
     return crossings
 
@@ -222,8 +220,7 @@ def _hessenberg_eigenvalues(h):
     """
     n, prec = len(h), mp.prec
     frac, floor = 2 * prec + 64, 1 << (prec + 64)
-    top = mp.frexp(mp.fsum(abs(x) for row in h for x in row))[1]
-    h = [[fixed(x, frac - top) for x in row] for row in h]
+    h, top = fixed_rows(h, frac)
     values, shift, hi, its = [], 0, n - 1, 0
     while hi >= 0:
         l = hi  # h splits above row l where h[l][l-1] is below rounding

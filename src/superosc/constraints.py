@@ -77,7 +77,9 @@ def constraint_matrix(cs: ConstraintSet, n: int, ctx: Context = FAST) -> Constra
     if n < 1:
         raise ValueError("band limit must be >= 1")
     with ctx.workprec():
-        entries = mp.matrix([cosine_basis(n, ctx.real(t)) for t in cs.points])
+        frac = mp.prec + 64
+        entries = mp.matrix([[mpf((b, -frac)) for b in cosine_basis(n, ctx.real(t))]
+                             for t in cs.points])
         return ConstraintMatrix(n=n, entries=entries, points=cs.points)
 
 

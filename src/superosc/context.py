@@ -8,10 +8,11 @@ carries a fixed number of guard digits on top of the context precision so
 that results are trustworthy to the full context precision.
 """
 
+import functools
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpmathify
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest, to_str
 
 # Guard digits added on top of the user-visible precision for internal work.
 GUARD_DIGITS = 15
@@ -92,7 +93,7 @@ class Context:
 
     # -- serialization ------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def decimal_digits(self):
         """Decimal digits needed to round-trip a working-precision mpf."""
         return int(dps_to_prec(self.work_dps) * 0.30103) + 3
@@ -101,11 +102,14 @@ class Context:
         """Serialize an mpf as a decimal string that parses back exactly.
 
         Scientific notation throughout: tiny eigenvalues would otherwise
-        render as hundred-zero fixed-point strings.
+        render as hundred-zero fixed-point strings.  x is first rounded to
+        decimal_digits + 5 digits on its mantissa: no precision context.
         """
-        with mp.workdps(self.decimal_digits + 5):
-            return mp.nstr(mpf(x), self.decimal_digits, strip_zeros=True,
-                           min_fixed=1, max_fixed=1)
+        digits = self.decimal_digits
+        prec = dps_to_prec(digits + 5)
+        x = mpf_pos(x._mpf_, prec, round_nearest) if isinstance(x, mpf) \
+            else mpf(x, prec=prec)._mpf_
+        return to_str(x, digits, strip_zeros=True, min_fixed=1, max_fixed=1)
 
     def from_decimal(self, s):
         """Parse a decimal string produced by to_decimal."""

@@ -57,7 +57,8 @@ def design_spectrum(band_limit: int, m: int, domain: Domain, ctx: Context = FAST
     if method not in METHODS:
         raise ValueError("method must be one of %s" % (METHODS,))
     lo, hi = constraint_interval(domain)
-    cs = alternating_constraints(lo, hi, m)
+    with ctx.workprec():  # not at the caller's ambient precision
+        cs = alternating_constraints(lo, hi, m)
     cm = constraint_matrix(cs, band_limit, ctx)
     frame = orthonormal_frame(cm, cs.values, completion_seed=seed, ctx=ctx)
     delta = overlap_matrix(domain, band_limit, ctx)

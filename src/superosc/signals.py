@@ -3,15 +3,20 @@
 A signal with band limit N is f(t) = A_0/sqrt(2*pi) + sum_{m=1..N}
 A_m*cos(m*t)/sqrt(pi).  The basis functions are orthonormal on (-pi, pi),
 so the energy per period is just the squared coefficient norm.  Signals
-are even and 2*pi-periodic by construction.
+are even and 2*pi-periodic by construction.  Every series value in the
+package comes from series_values: at p bits of precision the basis runs in
+fixed point on Python ints with p + 64 fraction bits (cosine_basis), is
+dotted with the coefficients as ints and rounded once.
 """
 
 import functools
 from dataclasses import dataclass
+from operator import mul
 
-from mpmath import mp
+from mpmath import mp, mpf
 
 from .context import FAST, Context
+from .symmetric import fixed, fixed_rows
 
 
 @dataclass(frozen=True)
@@ -34,37 +39,56 @@ class FourierCosineSignal:
         object.__setattr__(self, "coeffs", tuple(mp.mpmathify(c) for c in self.coeffs))
         if any(not (isinstance(c, mp.mpf) and mp.isfinite(c)) for c in self.coeffs):
             raise ValueError("coefficients must be finite reals")
+        object.__setattr__(self, "_fixed", {})  # series_values' ints, per precision
 
 
 def cosine_basis(n: int, t):
-    """Orthonormal basis values 1/sqrt(2*pi), cos(t)/sqrt(pi), ..., cos(n*t)/sqrt(pi).
+    """Orthonormal basis values 1/sqrt(2*pi), cos(t)/sqrt(pi), ..., cos(n*t)/sqrt(pi)
+    as ints in units 2^-F, F = p + 64 at the caller's precision p.
 
-    The package's one cosine evaluation: a single mp.cos(t) and the
-    Chebyshev recurrence cos(mt) = 2cos(t)cos((m-1)t) - cos((m-2)t), which
-    is linear and so runs on the values scaled by 1/sqrt(pi).  Computes at
-    the caller's precision and opens no precision context of its own.
+    The package's one cosine evaluation: a single mp.cos(t) at F bits and
+    the Chebyshev recurrence cos(mt) = 2cos(t)cos((m-1)t) - cos((m-2)t),
+    which is linear and so runs on the values scaled by 1/sqrt(pi).  The 64
+    guard bits cover the recurrence's growth of the error of cos t (about
+    n^2 near t = 0 and pi) and its truncations.  Opens no precision context.
     """
-    inv_sqrt_2pi, inv_sqrt_pi = _normalizers(mp.prec)
-    cos_t = mp.cos(t)
-    two_cos = 2 * cos_t
-    values = [inv_sqrt_pi, cos_t * inv_sqrt_pi]
+    frac = mp.prec + 64
+    inv_sqrt_2pi, inv_sqrt_pi = _normalizers(mp.prec)[2:]
+    two_cos = fixed(mp.cos(t, prec=frac), frac + 1)
+    values = [inv_sqrt_pi, two_cos * inv_sqrt_pi >> frac + 1]
     for _ in range(2, n + 1):
-        values.append(two_cos * values[-1] - values[-2])
+        values.append((two_cos * values[-1] >> frac) - values[-2])
     values[0] = inv_sqrt_2pi
     return values
 
 
 @functools.lru_cache(maxsize=32)
 def _normalizers(prec):
+    """1/sqrt(2*pi) and 1/sqrt(pi) as mpf at prec bits, then as cosine_basis's
+    ints in units 2^-(prec + 64)."""
     # cached: two square roots per call cost 20-40% of a grid or quadrature node
+    with mp.workprec(prec + 64):
+        fine = tuple(fixed(x, prec + 64) for x in (1 / mp.sqrt(2 * mp.pi), 1 / mp.sqrt(mp.pi)))
     with mp.workprec(prec):
-        return 1 / mp.sqrt(2 * mp.pi), 1 / mp.sqrt(mp.pi)
+        return (1 / mp.sqrt(2 * mp.pi), 1 / mp.sqrt(mp.pi)) + fine
+
+
+def series_values(signal: FourierCosineSignal, points):
+    """f at each point, at the caller's precision p: the coefficients as ints
+    (symmetric.fixed_rows, converted once per signal and precision) dotted
+    with each cosine_basis row, each value rounded once to p bits."""
+    frac = mp.prec + 64
+    if frac not in signal._fixed:
+        signal._fixed[frac] = fixed_rows([signal.coeffs], frac)
+    (a,), top = signal._fixed[frac]
+    return [mpf((sum(map(mul, a, cosine_basis(signal.band_limit, t))), top - 2 * frac))
+            for t in points]
 
 
 def evaluate(signal: FourierCosineSignal, t, ctx: Context = FAST):
-    """f(t) = coeffs . cosine_basis(N, t), at the context's working precision."""
+    """f(t) at the context's working precision."""
     with ctx.workprec():
-        return mp.fdot(signal.coeffs, cosine_basis(signal.band_limit, ctx.real(t)))
+        return series_values(signal, [ctx.real(t)])[0]
 
 
 def energy_per_period(signal: FourierCosineSignal, ctx: Context = FAST):
@@ -84,5 +108,4 @@ def sample(signal: FourierCosineSignal, lo, hi, count: int, ctx: Context = FAST)
             raise ValueError("need lo < hi")
         step = (hi - lo) / (count - 1)
         points = [lo + k * step for k in range(count)]
-        return [(t, mp.fdot(signal.coeffs, cosine_basis(signal.band_limit, t)))
-                for t in points]
+        return list(zip(points, series_values(signal, points)))

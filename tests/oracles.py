@@ -17,7 +17,7 @@ import numpy as np
 from mpmath import mp, mpf
 from scipy.optimize import minimize
 
-from superosc.signals import cosine_basis
+from superosc.signals import series_values
 
 
 def basis_value(i, t):
@@ -69,8 +69,7 @@ def grid_crossings(signal, domain, grid_points):
         with mp.workdps(dps):
             lo = mpf(lo) * 1
             step = (mpf(hi) * 1 - lo) / (count - 1)
-            values = [mp.fdot(signal.coeffs, cosine_basis(signal.band_limit, lo + k * step))
-                      for k in range(count)]
+            values = series_values(signal, [lo + k * step for k in range(count)])
         signs = [v > 0 for v in values if abs(v) > noise]
         changes += sum(a != b for a, b in zip(signs, signs[1:]))
     return changes

@@ -206,7 +206,8 @@ class TestHessenbergEigenvalues:
 
     def test_sweeps_do_no_mpf_arithmetic(self, monkeypatch):
         # the sweeps run on ints: only converting the n^2 entries in (and
-        # their sum |h_ij|) and the n values out may touch mpf
+        # their sum |h_ij|) and the n values out may touch mpf, and none of
+        # those is an mpf operator
         calls = []
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                      "__truediv__", "__rtruediv__", "__pow__", "__abs__", "__neg__"):
@@ -217,8 +218,12 @@ class TestHessenbergEigenvalues:
             rng = random.Random(1401)
             h = colleague([mpf(rng.uniform(-1, 1)) for _ in range(11)])
             calls.clear()
-            assert len(_hessenberg_eigenvalues(h)) == 10
-        assert 0 < len(calls) <= 10 * 10 + 4 * 10
+            values = _hessenberg_eigenvalues(h)
+            assert calls == []
+            assert len(values) == 10  # the real parts sum to the trace
+            assert abs(mp.fsum(values) - mp.fsum(h[i][i] for i in range(10))) \
+                <= mpf(10) ** -100 * mp.fsum((x for row in h for x in row), absolute=True)
+            assert calls  # the guard sees the operators the check above used
 
     def test_spectrum_report_crossings(self):
         # the benchmark's spectrum report at the CLI's 10^4 points per unit
@@ -387,8 +392,8 @@ class TestZeroCrossings:
     def test_evaluates_only_samples_next_to_roots(self, monkeypatch):
         # a 400 000-point grid over ten roots costs tens of evaluations
         calls = []
-        kernel = analysis.cosine_basis
-        monkeypatch.setattr(analysis, "cosine_basis",
+        kernel = superosc.signals.cosine_basis
+        monkeypatch.setattr(superosc.signals, "cosine_basis",
                             lambda n, t: calls.append(t) or kernel(n, t))
         with CTX.workprec():
             signal = harmonic_signal(5, 5, mp.sqrt(mp.pi))

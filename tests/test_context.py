@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from superosc import Context
+from superosc import Context, design_spectrum, symmetrize_domain
 
 
 class TestContext:
@@ -25,6 +25,16 @@ class TestContext:
         x = ctx.real("0.1")
         with ctx.workprec():
             assert abs(x - mpf(1) / 10) < mpf(10) ** -50
+
+    def test_solve_ignores_ambient_precision(self):
+        # the context fixes every number of a solve, whatever mp.dps the
+        # caller has set
+        ctx = Context(100)
+        first = design_spectrum(10, 6, symmetrize_domain(0, 1), ctx)
+        with mp.workdps(200):
+            second = design_spectrum(10, 6, symmetrize_domain(0, 1), ctx)
+        assert first.spectrum.eigenvalues == second.spectrum.eigenvalues
+        assert first.frame.points == second.frame.points
 
 
 class TestDecimalRoundTrip:
@@ -51,3 +61,26 @@ class TestDecimalRoundTrip:
         with ctx.workprec():
             x = mpf("2.36786e-26") * mp.pi
         assert ctx.from_decimal(ctx.to_decimal(x)) == x
+
+    @pytest.mark.parametrize("digits", [15, 30, 100])
+    def test_matches_nstr_formula(self, digits):
+        # to_decimal rounds the mantissa itself and calls libmp.to_str; the
+        # reference is mp.nstr under a precision context per number
+        ctx = Context(digits)
+
+        def reference(x):
+            with mp.workdps(ctx.decimal_digits + 5):
+                return mp.nstr(mpf(x), ctx.decimal_digits, strip_zeros=True,
+                               min_fixed=1, max_fixed=1)
+
+        rng = random.Random(1900 + digits)
+        with ctx.workprec():
+            values = [mpf(0), mpf(1), mpf(-1), mpf("1e300"), mpf("-1e-300"), mpf("1e-300")]
+            values += [mpf((rng.choice((-1, 1)) * rng.getrandbits(mp.prec),
+                            rng.randint(-600, 400))) for _ in range(500)]
+        with mp.workdps(3 * ctx.work_dps):
+            wide = mp.pi / 7  # more bits than the working precision carries
+        for x in values + [wide, -wide]:
+            assert ctx.to_decimal(x) == reference(x)
+            with ctx.workprec():
+                assert ctx.from_decimal(ctx.to_decimal(x)) == +x

@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,13 @@ from superosc import (
     Context,
     FourierCosineSignal,
     constraint_matrix,
+    design_spectrum,
     energy_per_period,
     evaluate,
     sample,
+    symmetrize_domain,
 )
+from superosc.signals import series_values
 
 from oracles import basis_value, quad_energy
 
@@ -86,6 +90,48 @@ class TestCosineKernel:
                     exact = basis_value(i, t)
                     assert abs(cm.entries[j, i] - exact) < tol, (i, t)
                     assert abs(value - exact) < tol, (i, t)
+
+    @pytest.mark.parametrize("n, m, inner, digits",
+                             [(10, 5, 0, 15), (10, 5, 0, 30), (10, 9, "0.5", 100)])
+    def test_samples_match_direct_cosine_sum(self, n, m, inner, digits):
+        # the top two modes over the period and over the domain: each value
+        # within 10^-work_dps (|f| + 2^-32 sum |A_k|) of the direct sum at
+        # twice the digits, although inside the domain |f| is orders of
+        # magnitude below the coefficients
+        ctx = Context(digits)
+        domain = symmetrize_domain(inner, 1)
+        result = design_spectrum(n, m, domain, ctx)
+        for signal in result.spectrum.signals[-2:]:
+            scale = mpf(2) ** -32 * mp.fsum(signal.coeffs, absolute=True)
+            for lo, hi in ((-mp.pi, mp.pi), (domain.intervals[0][0], domain.intervals[-1][1])):
+                for t, value in sample(signal, lo, hi, 1001, ctx):
+                    with mp.workdps(2 * ctx.work_dps):
+                        exact = mp.fsum(c * basis_value(k, t)
+                                        for k, c in enumerate(signal.coeffs))
+                        tol = mpf(10) ** -ctx.work_dps * (abs(exact) + scale)
+                        assert abs(value - exact) <= tol, (t, value, exact)
+
+    def test_series_runs_on_ints(self, monkeypatch):
+        # between each mp.cos and the one rounding of each value, the basis,
+        # the coefficients and the dot product are ints: converting the
+        # coefficients in (and their sum |A_k|) uses no mpf operator
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__pow__", "__abs__", "__neg__"):
+            method = getattr(mp.mpf, name)
+            monkeypatch.setattr(mp.mpf, name, lambda *a, _m=method, _n=name:
+                                calls.append(_n) or _m(*a))
+        with mp.workdps(100):
+            rng = random.Random(1901)
+            signal = make_signal([mpf(rng.uniform(-3, 3)) for _ in range(21)])
+            points = [mpf(rng.uniform(-4, 4)) for _ in range(5)]
+            series_values(make_signal([1, 1]), points)  # normalizers: once per precision
+            calls.clear()
+            values = series_values(signal, points)
+            assert calls == []
+            assert abs(values[2] - mp.fsum(c * basis_value(k, points[2])
+                                           for k, c in enumerate(signal.coeffs))) < 1e-90
+            assert calls  # the guard sees the operators the check above used
 
     def test_kernel_is_the_only_cosine_evaluation(self):
         # every cosine series in the package goes through cosine_basis

@@ -547,8 +547,9 @@ class TestEigensystem:
 
     def test_fixed_conversion_matches_ldexp(self, monkeypatch):
         # symmetric.fixed builds int(x 2^shift) from the mantissa and exponent:
-        # the same ints as int(mp.ldexp(x, shift)), so both int kernels give
-        # bit-identical outputs with either conversion
+        # the same ints as int(mp.ldexp(x, shift)), so both int kernels, which
+        # convert through symmetric.fixed_rows, give bit-identical outputs with
+        # either conversion
         with mp.workdps(100):
             samples = [mpf(0), mpf(1), mpf(-1), mp.pi, -mp.pi / 7, mpf("-1e-90"),
                        mpf("3e-200"), mpf("-3e-200"), mpf(2) ** 300, -mpf(2) ** -400]
@@ -570,7 +571,6 @@ class TestEigensystem:
                 h[k][9] -= coeffs[k] / 2
             outputs = [solver._eigensystem(a), analysis._hessenberg_eigenvalues(h)]
             monkeypatch.setattr(symmetric, "fixed", lambda x, shift: int(mp.ldexp(x, shift)))
-            monkeypatch.setattr(analysis, "fixed", lambda x, shift: int(mp.ldexp(x, shift)))
             assert [solver._eigensystem(a), analysis._hessenberg_eigenvalues(h)] == outputs
 
     @pytest.mark.parametrize("module", [solver, symmetric], ids=["solver", "symmetric"])
