@@ -57,8 +57,7 @@ def design_spectrum(band_limit: int, m: int, domain: Domain, ctx: Context = FAST
     if method not in METHODS:
         raise ValueError("method must be one of %s" % (METHODS,))
     lo, hi = constraint_interval(domain)
-    with ctx.workprec():  # not at the caller's ambient precision
-        cs = alternating_constraints(lo, hi, m)
+    cs = alternating_constraints(lo, hi, m)
     cm = constraint_matrix(cs, band_limit, ctx)
     frame = orthonormal_frame(cm, cs.values, completion_seed=seed, ctx=ctx)
     delta = overlap_matrix(domain, band_limit, ctx)

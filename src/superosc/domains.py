@@ -121,7 +121,7 @@ def overlap_matrix(domain: Domain, n: int, ctx: Context = FAST) -> OverlapMatrix
         moments = [mp.fsum(hi - lo for lo, hi in ivals)]
         moments += [mp.fsum(mp.sin(j * hi) - mp.sin(j * lo) for lo, hi in ivals) / j
                     for j in range(1, 2 * n + 1)]
-        inv_sqrt_2pi, inv_sqrt_pi = _normalizers(mp.prec)[:2]
+        inv_sqrt_2pi, inv_sqrt_pi = _normalizers(mp.prec)
         scale = [inv_sqrt_2pi] + [inv_sqrt_pi] * n
         entries = mp.zeros(n + 1, n + 1)
         for m in range(n + 1):

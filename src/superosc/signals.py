@@ -39,7 +39,6 @@ class FourierCosineSignal:
         object.__setattr__(self, "coeffs", tuple(mp.mpmathify(c) for c in self.coeffs))
         if any(not (isinstance(c, mp.mpf) and mp.isfinite(c)) for c in self.coeffs):
             raise ValueError("coefficients must be finite reals")
-        object.__setattr__(self, "_fixed", {})  # series_values' ints, per precision
 
 
 def cosine_basis(n: int, t):
@@ -53,7 +52,7 @@ def cosine_basis(n: int, t):
     n^2 near t = 0 and pi) and its truncations.  Opens no precision context.
     """
     frac = mp.prec + 64
-    inv_sqrt_2pi, inv_sqrt_pi = _normalizers(mp.prec)[2:]
+    inv_sqrt_2pi, inv_sqrt_pi = _fixed_normalizers(mp.prec)
     two_cos = fixed(mp.cos(t, prec=frac), frac + 1)
     values = [inv_sqrt_pi, two_cos * inv_sqrt_pi >> frac + 1]
     for _ in range(2, n + 1):
@@ -64,23 +63,24 @@ def cosine_basis(n: int, t):
 
 @functools.lru_cache(maxsize=32)
 def _normalizers(prec):
-    """1/sqrt(2*pi) and 1/sqrt(pi) as mpf at prec bits, then as cosine_basis's
-    ints in units 2^-(prec + 64)."""
+    """1/sqrt(2*pi) and 1/sqrt(pi) as mpf at prec bits."""
     # cached: two square roots per call cost 20-40% of a grid or quadrature node
-    with mp.workprec(prec + 64):
-        fine = tuple(fixed(x, prec + 64) for x in (1 / mp.sqrt(2 * mp.pi), 1 / mp.sqrt(mp.pi)))
     with mp.workprec(prec):
-        return (1 / mp.sqrt(2 * mp.pi), 1 / mp.sqrt(mp.pi)) + fine
+        return 1 / mp.sqrt(2 * mp.pi), 1 / mp.sqrt(mp.pi)
+
+
+@functools.lru_cache(maxsize=32)
+def _fixed_normalizers(prec):
+    """The same two values as cosine_basis's ints in units 2^-(prec + 64)."""
+    return tuple(fixed(x, prec + 64) for x in _normalizers(prec + 64))
 
 
 def series_values(signal: FourierCosineSignal, points):
     """f at each point, at the caller's precision p: the coefficients as ints
-    (symmetric.fixed_rows, converted once per signal and precision) dotted
-    with each cosine_basis row, each value rounded once to p bits."""
+    (symmetric.fixed_rows, converted once per call) dotted with each
+    cosine_basis row, each value rounded once to p bits."""
     frac = mp.prec + 64
-    if frac not in signal._fixed:
-        signal._fixed[frac] = fixed_rows([signal.coeffs], frac)
-    (a,), top = signal._fixed[frac]
+    (a,), top = fixed_rows([signal.coeffs], frac)
     return [mpf((sum(map(mul, a, cosine_basis(signal.band_limit, t))), top - 2 * frac))
             for t in points]
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from superosc import Context, design_spectrum, symmetrize_domain
+from superosc import Context
 
 
 class TestContext:
@@ -25,16 +25,6 @@ class TestContext:
         x = ctx.real("0.1")
         with ctx.workprec():
             assert abs(x - mpf(1) / 10) < mpf(10) ** -50
-
-    def test_solve_ignores_ambient_precision(self):
-        # the context fixes every number of a solve, whatever mp.dps the
-        # caller has set
-        ctx = Context(100)
-        first = design_spectrum(10, 6, symmetrize_domain(0, 1), ctx)
-        with mp.workdps(200):
-            second = design_spectrum(10, 6, symmetrize_domain(0, 1), ctx)
-        assert first.spectrum.eigenvalues == second.spectrum.eigenvalues
-        assert first.frame.points == second.frame.points
 
 
 class TestDecimalRoundTrip:
