@@ -63,10 +63,13 @@ def cosine_basis(n: int, t):
 
 @functools.lru_cache(maxsize=32)
 def _normalizers(prec):
-    """1/sqrt(2*pi) and 1/sqrt(pi) as mpf at prec bits."""
+    """1/sqrt(2*pi) and 1/sqrt(pi) as mpf, each taken at prec + 64 bits and
+    rounded once to prec bits, so that both are correctly rounded."""
     # cached: two square roots per call cost 20-40% of a grid or quadrature node
+    with mp.workprec(prec + 64):
+        wide = 1 / mp.sqrt(2 * mp.pi), 1 / mp.sqrt(mp.pi)
     with mp.workprec(prec):
-        return 1 / mp.sqrt(2 * mp.pi), 1 / mp.sqrt(mp.pi)
+        return +wide[0], +wide[1]
 
 
 @functools.lru_cache(maxsize=32)

@@ -21,7 +21,7 @@ direction decoupled from the constraints (deflation): only such a root
 takes an LU solve.  K, the coefficients and the residuals are integer dot
 products.  Each symmetric eigensolve returns ascending eigenvalues and unit
 eigenvectors as lists, or raises SolverFailure: _eigensystem
-(symmetric.eigensystem: tridiagonal QL and inverse iteration on ints) for
+(symmetric.eigensystem: tridiagonal QL with its vectors, on ints) for
 K in secular_spectrum and Delta in slepian_modes, _jacobi_eigensystem (mpf
 Jacobi rotations), the independent cross-check, for K in jacobi_spectrum.
 """
@@ -173,7 +173,7 @@ def _spectrum(delta, frame, ctx, kernel, method):
     )
 
 
-# QL iterations per eigenvalue (EISPACK imtql1's limit); tests take at most 6.
+# QL iterations per eigenvalue (EISPACK imtql2's limit); tests take at most 6.
 QL_MAX_ITERATIONS = 30
 
 

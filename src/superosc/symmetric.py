@@ -55,23 +55,21 @@ def eigensystem(matrix, max_iterations):
     Householder tridiagonalization (Martin, Reinsch & Wilkinson, 1968) from
     the last row up, without Q, leaves z_last T's own.  e_m is negligible at
     max(2^-(p+8) (|d_m| + |d_m+1|), 2^(p+56) u), eight bits below eps ||A||_1:
-    T splits into unreduced blocks there and implicit QL without vectors
-    (EISPACK imtql1) deflates there, each rotation's (f, g) shifted up to F + 8
-    bits before s and c are formed.  Inverse iteration on each block (tinvit,
-    LAPACK stein) gives its vectors, zero outside it: a pivoted LU of T - y,
-    two back-substitutions from all ones, each followed by Gram-Schmidt within
-    1e-3 ||T|| (coincident eigenvalues shifted apart by eps ||T||); z = Q v.
+    implicit QL (EISPACK imtql2) deflates there, each rotation's (f, g)
+    shifted up to F + 8 bits before s and c are formed, and applies each
+    rotation to the columns of Z, from Z = I, so that T = Z diag(d) Z^T.
+    Each column of Z is then taken back through the reflectors: z = Q z.
     """
     rows, size, prec = matrix.tolist(), matrix.rows, mp.prec
     frac, floor, one = 2 * prec + 64, 1 << (prec + 56), 1 << (2 * prec + 64)
     a, top = fixed_rows(rows, frac)
-    e, reflectors = [0] * size, []  # e[k] couples k and k + 1
+    off, reflectors = [0] * size, []  # off[k] couples k and k + 1
     for i in range(size - 1, 0, -1):  # reflect a[i][:i] onto its last coordinate
         x = a[i][:i]
         if not any(x[:-1]):
-            e[i - 1] = x[-1]
+            off[i - 1] = x[-1]
             continue
-        v, e[i - 1] = householder(x, -1, frac)
+        v, off[i - 1] = householder(x, -1, frac)
         p = [sum(map(mul, row, v)) >> frac for row in a[:i]]
         half = sum(map(mul, p, v)) >> (frac + 1)
         q = [pj - (half * vj >> frac) for pj, vj in zip(p, v)]
@@ -81,15 +79,13 @@ def eigensystem(matrix, max_iterations):
             for k in range(j):  # mirror row j into column j: the next A v reads full rows
                 a[k][j] = row[k]
         reflectors.append(v)
-    d = [a[i][i] for i in range(size)]
+    values = [a[i][i] for i in range(size)]
     del a  # no longer needed: freeing it lowers the peak memory of the vectors
 
     def negligible(d, e, k):
         return abs(e[k]) <= max((abs(d[k]) + abs(d[k + 1])) >> (prec + 8), floor)
 
-    cuts = [k + 1 for k in range(size - 1) if negligible(d, e, k)]
-    e = [0 if k + 1 in cuts else ek for k, ek in enumerate(e)]
-    values, off = d[:], e[:]
+    z = [[one if j == k else 0 for j in range(size)] for k in range(size)]  # Z's columns
     for l in range(size):
         for its in range(max_iterations + 1):
             m = l
@@ -116,51 +112,14 @@ def eigensystem(matrix, max_iterations):
                 p = s * r >> frac
                 values[i + 1] = g + p
                 g = (c * r >> frac) - b
+                zi, zj = z[i], z[i + 1]  # rotate columns i and i + 1 of Z
+                z[i] = [(c * x - s * y) >> frac for x, y in zip(zi, zj)]
+                z[i + 1] = [(s * x + c * y) >> frac for x, y in zip(zi, zj)]
             values[l] -= p
             off[l], off[m] = g, 0
-    pairs = []
-    for lo, hi in zip([0] + cuts, cuts + [size]):
-        dd, ee = d[lo:hi], e[lo:hi] + [0]  # e[hi - 1] = 0 at a cut and at the end
-        norm = max(abs(dd[i]) + abs(ee[i]) + abs(ee[i - 1]) for i in range(hi - lo))
-        eps3, group, last = max(norm >> prec, 1), [], None
-        for value in sorted(values[lo:hi]):
-            y = value if last is None or value > last else last + eps3
-            if last is None or y - last >= norm // 1000:
-                group = []
-            last, pivots, steps, top_row = y, [], [], [dd[0] - y, ee[0], 0]
-            for i in range(hi - lo - 1):  # T - y = P L U, U with two superdiagonals
-                row = [ee[i], dd[i + 1] - y, ee[i + 1]]
-                swap = abs(row[0]) > abs(top_row[0])
-                top_row, row = (row, top_row) if swap else (top_row, row)
-                m = (row[0] << frac) // top_row[0] if top_row[0] else 0
-                pivots.append(top_row)
-                steps.append((swap, m))
-                top_row = [row[1] - (m * top_row[1] >> frac), row[2] - (m * top_row[2] >> frac), 0]
-            pivots.append(top_row)
-            v = [one] * (hi - lo)
-            for sweep in range(2):
-                for i, (swap, m) in enumerate(steps if sweep else ()):  # v <- L^-1 P v
-                    if swap:
-                        v[i], v[i + 1] = v[i + 1], v[i]
-                    v[i + 1] -= m * v[i] >> frac
-                x = [0] * (hi - lo + 2)  # two zeros past the end for the last rows
-                for i in range(hi - lo - 1, -1, -1):
-                    u0, u1, u2 = pivots[i]
-                    x[i] = ((v[i] << frac) - u1 * x[i + 1] - u2 * x[i + 2]) // (u0 or eps3)
-                drop = max(0, max(map(abs, x)).bit_length() - frac - 16)
-                x = [xi >> drop for xi in x[:hi - lo]]  # F + 16 bits are enough
-                dots = [sum(map(mul, x, w)) >> frac for w in group]
-                x = [xi - (sum(map(mul, dots, col)) >> frac) for xi, col in zip(x, zip(*group))] \
-                    if group else x
-                scale = math.isqrt(sum(map(mul, x, x)))
-                if not scale:
-                    raise SolverFailure("inverse iteration on the symmetric matrix of order "
-                                        "%d lost a vector" % size, diagnostics={"block": [lo, hi]})
-                v = [(xi << frac) // scale for xi in x]
-            group.append(v)
-            z = [0] * lo + v + [0] * (size - hi)
-            for u in reversed(reflectors):  # z <- Q z, the reflectors in reverse order
-                reflect(z, u, 0, frac)
-            pairs.append((value, [mpf((zi, -frac)) for zi in z]))
-    pairs.sort(key=lambda pair: pair[0])
-    return [mpf((y, top - frac)) for y, _ in pairs], [z for _, z in pairs]
+    for v in z:
+        for u in reversed(reflectors):  # v <- Q v, the reflectors in reverse order
+            reflect(v, u, 0, frac)
+    pairs = sorted(zip(values, z), key=lambda pair: pair[0])
+    return [mpf((y, top - frac)) for y, _ in pairs], [[mpf((zi, -frac)) for zi in v]
+                                                       for _, v in pairs]

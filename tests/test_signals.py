@@ -22,7 +22,7 @@ from superosc import (
     sample,
     symmetrize_domain,
 )
-from superosc.signals import series_values
+from superosc.signals import _normalizers, series_values
 
 from oracles import basis_value, quad_energy
 
@@ -132,6 +132,15 @@ class TestCosineKernel:
             assert abs(values[2] - mp.fsum(c * basis_value(k, points[2])
                                            for k, c in enumerate(signal.coeffs))) < 1e-90
             assert calls  # the guard sees the operators the check above used
+
+    def test_normalizers_are_correctly_rounded(self):
+        # each normalizer is the exact value rounded once to prec bits: the
+        # same as a value taken 200 bits wider and then rounded
+        for prec in range(53, 1200):
+            with mp.workprec(prec + 200):
+                wide = 1 / mp.sqrt(2 * mp.pi), 1 / mp.sqrt(mp.pi)
+            with mp.workprec(prec):
+                assert _normalizers(prec) == (+wide[0], +wide[1]), prec
 
     def test_kernel_is_the_only_cosine_evaluation(self):
         # every cosine series in the package goes through cosine_basis

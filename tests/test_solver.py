@@ -394,6 +394,16 @@ class TestPrecisionLadder:
             worst = max(abs(a - b) / b for a, b in zip(low, high))
         assert worst < mpf("1e-90")
 
+    def test_ambient_precision_does_not_reach_the_result(self):
+        # the context alone sets the precision: the constraint points are
+        # built at its digits whatever mp.dps the caller happens to be at
+        domain = symmetrize_domain(0, 1)
+        plain = design_spectrum(10, 6, domain, Context(100))
+        with mp.workdps(200):
+            wide = design_spectrum(10, 6, domain, Context(100))
+        assert wide.frame.points == plain.frame.points
+        assert wide.spectrum.eigenvalues == plain.spectrum.eigenvalues
+
 
 class TestDeflation:
     def test_decoupled_pole_becomes_root(self):
@@ -476,9 +486,12 @@ class TestEigensystem:
     @given(order=st.integers(1, 20), digits=st.integers(30, 100),
            kind=st.sampled_from(["dense", "cluster", "blocks", "graded"]),
            seed=st.integers(0, 2 ** 32 - 1))
-    # two eigenvalues 1.46e-3 apart, outside one Gram-Schmidt group: only
-    # the residuals keep their vectors orthogonal
+    # two eigenvalues 1.46e-3 apart: vectors found one eigenvalue at a time
+    # would be orthogonal only through their residuals
     @example(order=14, digits=30, kind="cluster", seed=23999895)
+    # eigenvalues 1.1e-3 ||A|| apart: tridiagonal inverse iteration's vectors
+    # were 21 eps from orthogonal here, the QL rotations' are 0.22 eps
+    @example(order=13, digits=59, kind="graded", seed=2087958217)
     # Q I Q^T (grading 0): T's off-diagonals start near eps ||A||, and
     # deflating them at 2^-p (|d_m| + |d_m+1|) moves the eigenvalues by up
     # to 1.95 eps ||A||; at 2^-(p+8) they move by 0.36 eps ||A||
@@ -497,21 +510,18 @@ class TestEigensystem:
                 assert mp.norm(residual) <= tol
             for i, zi in enumerate(vectors):
                 assert abs(mp.fdot(zi, zi) - 1) <= 100 * mp.eps
-                for j, zj in enumerate(vectors[:i]):
-                    # Gram-Schmidt keeps near-equal eigenvalues' vectors
-                    # orthogonal; farther apart, the residuals bound
-                    # |zi.zj| by (|ri| + |rj|)/gap
-                    gap = values[i] - values[j]
-                    bound_ij = 100 * mp.eps if gap < norm / 10 ** 6 else 2 * tol / gap
-                    assert abs(mp.fdot(zi, zj)) <= bound_ij
+                for zj in vectors[:i]:
+                    # the vectors are the columns of one product of rotations,
+                    # orthogonal whatever the gap between their eigenvalues
+                    assert abs(mp.fdot(zi, zj)) <= 2 * mp.eps
         with mp.workdps(2 * digits):
             exact = mp.eigsy(a, eigvals_only=True)
             assert all(abs(y - x) <= bound for y, x in zip(values, exact))
 
     @pytest.mark.parametrize("order", range(1, 7))
     def test_scalar_and_split_matrices(self, order):
-        # T splits everywhere: each block's vector is found on its own, so
-        # no Gram-Schmidt can wipe one out inside a group of equal values
+        # T splits everywhere: QL makes no rotation, and each vector stays
+        # a column of the identity, even inside a group of equal values
         with mp.workdps(50):
             repeated = [1, 1, 2, 2, 3, 3][:order]
             for a in (mp.zeros(order, order), mp.eye(order), 2 * mp.eye(order),
@@ -527,7 +537,7 @@ class TestEigensystem:
                         assert abs(mp.fdot(zi, zj)) <= mp.eps
 
     def test_runs_on_ints(self, monkeypatch):
-        # tridiagonalization, QL, inverse iteration and the back-transform
+        # tridiagonalization, QL with its vectors and the back-transform
         # run on ints: only converting the n^2 entries in (ldexp) and the n
         # values and n^2 vector entries out may touch mpf, and none of those
         # is an mpf operator
