@@ -1,22 +1,22 @@
 """Yields, oscillation counts, and parameter sweeps.
 
 Yields are computed twice on purpose: algebraically from the overlap
-quadratic form (the cosine-moment overlap matrix of domains.py) and by fixed
-rules on the squared signal: Gauss-Legendre on each domain interval, with a
-node count derived from an error bound, and the trapezoid rule on 2N+1
-nodes for the period, exact for f^2.  The rule route evaluates the signal
-through the integer cosine kernel (signals.series_values), which shares
-only the cached basis normalizers with overlap_matrix, so their agreement
-is a real consistency check.  Oscillations are strict sign changes on a
-uniform grid (default density 1e5 points per unit length), samples from
-the same kernel, those within rounding of zero counting as zero.  Only
-the samples next to a root are evaluated, since the sign cannot change
-between them; the roots are the eigenvalues of the Chebyshev colleague
-matrix, whose transpose is already upper Hessenberg, found by a real
-double-shift QR that computes eigenvalues only.  The QR runs in fixed
-point on Python ints, in units of 2^-(2p+64) ||h||_1 at p bits of
-precision, and deflates a subdiagonal entry below eps ||h||_1 at the
-latest, the backward error of the same QR in mpf.
+quadratic form (the cosine-moment overlap matrix of domains.py) and by
+fixed rules on the squared signal: Gauss-Legendre on each domain interval,
+with a node count derived from an error bound, and the trapezoid rule on
+2N+1 nodes for the period, exact for f^2 and sampled by the kernel's grid
+form.  The rule route evaluates the signal through the integer cosine
+kernel (signals.series_values), which shares only the cached basis
+normalizers with overlap_matrix, so their agreement is a real consistency
+check.  Oscillations are strict sign changes on a uniform grid (default
+density 1e5 points per unit length), samples from the same kernel, those
+within rounding of zero counting as zero.  Only the samples next to a root
+are evaluated, since the sign cannot change between them; the roots are the
+eigenvalues of the Chebyshev colleague matrix, whose transpose is already
+upper Hessenberg, found by a real double-shift QR that computes eigenvalues
+only.  The QR runs in fixed point on Python ints, in units of 2^-(2p+64)
+||h||_1 at p bits of precision, and deflates a subdiagonal entry below eps
+||h||_1 at the latest, the backward error of the same QR in mpf.
 """
 
 import functools
@@ -100,8 +100,8 @@ def _integrate_squared(signal, lo, hi, digits):
 def _integrate_squared_period(signal):
     """Integral of f^2 over one period, trapezoid rule on 2N+1 nodes (exact)."""
     nodes = 2 * signal.band_limit + 1
-    step = 2 * mp.pi / nodes
-    values = series_values(signal, [-mp.pi + k * step for k in range(nodes)])
+    lo, step = -mp.pi, 2 * mp.pi / nodes
+    values = series_values(signal, [lo + k * step for k in range(nodes)], step)
     return step * mp.fsum(v * v for v in values)
 
 

@@ -16,12 +16,14 @@ Exit codes: 0 success, 2 invalid input, 3 solver failure.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 import time
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, mpf_abs, mpf_div, mpf_log, round_nearest
 
 from .analysis import monotonicity_table, scaling_sweep, yield_of, zero_crossings
 from .constraints import RankDeficientConstraints
@@ -125,10 +127,21 @@ def _series(signal, lo, hi, count, ctx):
             "t": [ctx.to_decimal(t) for t, _ in pts],
             "f": [ctx.to_decimal(v) for _, v in pts],
             "log10_abs_f": [
-                ctx.to_decimal(mp.log10(abs(v))) if v != 0 else "-inf"
+                ctx.to_decimal(_log10_abs(v)) if v != 0 else "-inf"
                 for _, v in pts
             ],
         }
+
+
+def _log10_abs(v):
+    """mp.log10(abs(v)) by the same libmp calls, ln 10 cached per precision."""
+    ln = mpf_log(mpf_abs(v._mpf_, mp.prec, round_nearest), mp.prec + 20, round_nearest)
+    return mp.make_mpf(mpf_div(ln, _ln10(mp.prec + 20), mp.prec, round_nearest))
+
+
+@functools.lru_cache(maxsize=32)
+def _ln10(prec):
+    return mpf_log(from_int(10), prec, round_nearest)
 
 
 def _mode_entry(index, lam, signal, result, ctx):

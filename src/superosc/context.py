@@ -98,6 +98,10 @@ class Context:
         """Decimal digits needed to round-trip a working-precision mpf."""
         return int(dps_to_prec(self.work_dps) * 0.30103) + 3
 
+    @functools.cached_property
+    def _decimal_prec(self):  # to_decimal's rounding: decimal_digits + 5 digits
+        return dps_to_prec(self.decimal_digits + 5)
+
     def to_decimal(self, x):
         """Serialize an mpf as a decimal string that parses back exactly.
 
@@ -105,11 +109,10 @@ class Context:
         render as hundred-zero fixed-point strings.  x is first rounded to
         decimal_digits + 5 digits on its mantissa: no precision context.
         """
-        digits = self.decimal_digits
-        prec = dps_to_prec(digits + 5)
+        prec = self._decimal_prec
         x = mpf_pos(x._mpf_, prec, round_nearest) if isinstance(x, mpf) \
             else mpf(x, prec=prec)._mpf_
-        return to_str(x, digits, strip_zeros=True, min_fixed=1, max_fixed=1)
+        return to_str(x, self.decimal_digits, strip_zeros=True, min_fixed=1, max_fixed=1)
 
     def from_decimal(self, s):
         """Parse a decimal string produced by to_decimal."""

@@ -3,9 +3,10 @@
 import json
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
-from superosc import Context, cli, design_spectrum, solver, symmetrize_domain, zero_crossings
+from superosc import (Context, cli, design_spectrum, sample, solver, symmetrize_domain,
+                      zero_crossings)
 from superosc import design as design_module
 from superosc.cli import main, parse_document, render_json
 
@@ -91,6 +92,16 @@ class TestDesign:
             (inside if abs(mpf(t)) < 0.8 else outside).append(mpf(log_mag))
         assert max(inside) < max(outside) - 1
         assert sum(inside) / len(inside) < sum(outside) / len(outside) - 1
+
+    @pytest.mark.parametrize("digits", [15, 30, 100])
+    def test_log10_is_mpmath_log10_bit_for_bit(self, digits):
+        # every sample of both series of design -n 10 -m 5 --interval 1
+        ctx = Context(digits)
+        result = design_spectrum(10, 5, symmetrize_domain(0, 1), ctx)
+        values = [v for lo, hi in ((-mp.pi, mp.pi), (-1, 1))
+                  for _, v in sample(result.optimal_signal, lo, hi, 1001, ctx)]
+        with ctx.workprec():
+            assert all(cli._log10_abs(v) == mp.log10(abs(v)) for v in values)
 
 
 class TestSpectrum:

@@ -143,21 +143,46 @@ class TestCosineKernel:
                 assert _normalizers(prec) == (+wide[0], +wide[1]), prec
 
     def test_kernel_is_the_only_cosine_evaluation(self):
-        # every cosine series in the package goes through cosine_basis
+        # every cosine series in the package goes through cosine_basis, the
+        # grid form's cos_sin seeds included; the one sine outside it is the
+        # closed form of the overlap moments, int cos(jt) dt = sin(jt) / j
+        tokens = ("mp.cos(", "cos_sin(", "mp.sin(", "cospi(", "sinpi(")
         package = pathlib.Path(superosc.__file__).parent
-        sites = set()
+        sites = {}
         for path in sorted(package.glob("*.py")):
             source = path.read_text()
             functions = [node for node in ast.walk(ast.parse(source))
                          if isinstance(node, ast.FunctionDef)]
             for lineno, line in enumerate(source.splitlines(), start=1):
-                if "mp.cos(" in line:
-                    enclosing = [f for f in functions
-                                 if f.lineno <= lineno <= f.end_lineno]
-                    name = min(enclosing, key=lambda f: f.end_lineno - f.lineno,
-                               default=None)
-                    sites.add((path.name, name and name.name))
-        assert sites == {("signals.py", "cosine_basis")}
+                for token in tokens:
+                    if token in line:
+                        enclosing = [f for f in functions
+                                     if f.lineno <= lineno <= f.end_lineno]
+                        name = min(enclosing, key=lambda f: f.end_lineno - f.lineno,
+                                   default=None)
+                        sites.setdefault((path.name, name and name.name), set()).add(token)
+        assert sites == {("signals.py", "cosine_basis"): {"mp.cos(", "cos_sin("},
+                         ("domains.py", "overlap_matrix"): {"mp.sin("}}
+
+    def test_grid_values_are_point_values(self):
+        # the grid form (angle addition from two cosines) gives the values of
+        # the one-point form at the rounded points lo + k*step, bit for bit
+        rng = random.Random(2201)
+        cases = [(count, lo, step) for count in ("2", "2N+1", "1001")
+                 for lo in ("-pi", "random") for step in ("2pi/count", "random")]
+        for count, lo, step in cases * 2:
+            n = rng.randint(1, 40)
+            with mp.workprec(rng.randint(53, 700)):
+                scale = mpf(10) ** rng.randint(-30, 30)
+                signal = make_signal([scale * rng.uniform(-1, 1) for _ in range(n + 1)])
+                count = {"2": 2, "2N+1": 2 * n + 1, "1001": 1001}[count]
+                lo = -mp.pi if lo == "-pi" else mpf(rng.uniform(-4, 4))
+                step = 2 * mp.pi / count if step == "2pi/count" \
+                    else mpf(rng.uniform(1e-4, 0.05))
+                points = [lo + k * step for k in range(count)]
+                grid = series_values(signal, points, step)
+                assert grid == series_values(signal, points), (n, mp.prec, count)
+                assert len(grid) == count
 
 
 class TestEnergy:
