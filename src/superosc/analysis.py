@@ -116,8 +116,7 @@ def yield_of(signal: FourierCosineSignal, domain: Domain,
             delta = overlap_matrix(domain, signal.band_limit, ctx)
         elif delta.n != signal.band_limit or delta.domain.intervals != domain.intervals:
             raise ValueError("supplied overlap matrix does not match domain/band limit")
-        vec = mp.matrix(signal.coeffs)
-        numerator = (vec.T * (delta.entries * vec))[0]
+        numerator = mp.fdot(signal.coeffs, [mp.fdot(row, signal.coeffs) for row in delta.entries])
         algebraic = numerator / energy
     # The quadrature route needs cancellation headroom: inside the domain a
     # superoscillating signal is orders of magnitude below its coefficients.

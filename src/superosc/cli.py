@@ -227,7 +227,7 @@ def cmd_baseline(args, ctx):
     with ctx.workprec():
         # the FK signal is (0, mu~) in the orthogonal frame: its energy is
         # ||mu~||^2, one value for both fields rather than two roundings of it
-        fk_energy = (result.frame.mu_tilde.T * result.frame.mu_tilde)[0]
+        fk_energy = mp.fdot(result.frame.mu_tilde, result.frame.mu_tilde)
     modes = slepian_modes(result.delta, ctx)
     return {
         "config": _config_echo(args, ctx, result.domain),

@@ -61,10 +61,10 @@ def alternating_constraints(interval_lo, interval_hi, m: int) -> ConstraintSet:
 
 @dataclass(frozen=True)
 class ConstraintMatrix:
-    """M x (N+1) matrix whose row j dotted with coefficients gives f(t_j)."""
+    """M row tuples of N+1 mpf: row j dotted with coefficients gives f(t_j)."""
 
     n: int
-    entries: object  # mp.matrix
+    entries: tuple
     points: tuple
 
     @property
@@ -78,8 +78,8 @@ def constraint_matrix(cs: ConstraintSet, n: int, ctx: Context = FAST) -> Constra
         raise ValueError("band limit must be >= 1")
     with ctx.workprec():
         frac = mp.prec + 64
-        entries = mp.matrix([[mpf((b, -frac)) for b in cosine_basis(n, ctx.real(t))]
-                             for t in cs.points])
+        entries = tuple(tuple(mpf((b, -frac)) for b in cosine_basis(n, ctx.real(t)))
+                        for t in cs.points)
         return ConstraintMatrix(n=n, entries=entries, points=cs.points)
 
 
@@ -101,7 +101,7 @@ def _factor(cm: ConstraintMatrix, values, tol, drop):
     minimum-norm interpolant.
     """
     frac, size = 2 * mp.prec + 64, cm.n + 1
-    a, top = fixed_rows(cm.entries.tolist(), frac)
+    a, top = fixed_rows(cm.entries, frac)
     (mu,), mtop = fixed_rows([values], frac)
     cut, norms = fixed(tol, frac), [sum(map(mul, x, x)) for x in a]
     kept, dependent, reflectors = [], [], []
@@ -162,8 +162,7 @@ def reduce_rank(cm: ConstraintMatrix, values, tol, ctx: Context = FAST):
         if not dropped:
             return cm, tuple(mpf(v) for v in values)
         kept = [j for j in range(cm.m) if j not in dropped]
-        rows = cm.entries.tolist()
-        kept_cm = ConstraintMatrix(n=cm.n, entries=mp.matrix([rows[j] for j in kept]),
+        kept_cm = ConstraintMatrix(n=cm.n, entries=tuple(cm.entries[j] for j in kept),
                                    points=tuple(cm.points[j] for j in kept))
         return kept_cm, tuple(mpf(values[j]) for j in kept)
 
@@ -172,22 +171,25 @@ def reduce_rank(cm: ConstraintMatrix, values, tol, ctx: Context = FAST):
 class RotatedFrame:
     """Orthogonal rotation splitting coefficients into free and fixed parts.
 
-    The rows of `rotation` are the new basis: the first free_dim rows span
-    the unconstrained directions (the null space of the constraint matrix),
-    the last M rows span the constraint row space.  A coefficient vector A
-    maps to B = rotation*A whose trailing M entries must equal mu_tilde.
+    The rows of `rotation`, row tuples of mpf, are the new basis: the first
+    free_dim rows span the unconstrained directions (the null space of the
+    constraint matrix), the last M rows the constraint row space.  A
+    coefficient vector A maps to B = rotation*A whose trailing M entries
+    must equal mu_tilde.  Both are tuples, so int_rows never goes stale.
     completion_seed is only recorded: no entry depends on it.  assemble and
     the solver's K = W Delta W^T are integer dot products over int_rows.
     """
 
-    rotation: object  # (N+1)x(N+1) mp.matrix
+    rotation: tuple
     free_dim: int
-    mu_tilde: object  # M-vector, mp.matrix
+    mu_tilde: tuple
     completion_seed: int
     points: tuple
     values: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "rotation", tuple(map(tuple, self.rotation)))
+        object.__setattr__(self, "mu_tilde", tuple(self.mu_tilde))
         object.__setattr__(self, "_int_rows", {})
 
     def int_rows(self):
@@ -196,19 +198,19 @@ class RotatedFrame:
         p-bit entries needs no more, unlike the iterated QR and eigensolves."""
         frac = mp.prec + 64
         if frac not in self._int_rows:
-            self._int_rows[frac] = [[fixed(x, frac) for x in row] for row in self.rotation.tolist()]
+            self._int_rows[frac] = [[fixed(x, frac) for x in row] for row in self.rotation]
         return self._int_rows[frac], frac
 
     @property
     def n(self):
-        return self.rotation.rows - 1
+        return len(self.rotation) - 1
 
     def assemble(self, free_part):
-        """Coefficient row vector from free coordinates plus the fixed block,
-        each coefficient an integer dot product rounded once."""
+        """Coefficient tuple from free coordinates plus the fixed block, each
+        coefficient an integer dot product rounded once."""
         rows, frac = self.int_rows()
-        (b,), top = fixed_rows([list(free_part) + list(self.mu_tilde)], frac)
-        return mp.matrix([[mpf((sum(map(mul, b, col)), top - 2 * frac)) for col in zip(*rows)]])
+        (b,), top = fixed_rows([[*free_part, *self.mu_tilde]], frac)
+        return tuple(mpf((sum(map(mul, b, col)), top - 2 * frac)) for col in zip(*rows))
 
     def particular_solution(self):
         """Minimum-norm coefficient vector satisfying all constraints."""
@@ -231,9 +233,9 @@ def orthonormal_frame(
     with ctx.workprec():
         rotation, mu_tilde, _ = _factor(cm, values, ctx.rank_tolerance, drop=False)
         return RotatedFrame(
-            rotation=mp.matrix(rotation),
+            rotation=rotation,
             free_dim=cm.n + 1 - cm.m,
-            mu_tilde=mp.matrix(mu_tilde),
+            mu_tilde=mu_tilde,
             completion_seed=completion_seed,
             points=tuple(cm.points),
             values=tuple(mpf(v) for v in values),

@@ -96,14 +96,14 @@ def parse_domain_spec(text):
 
 @dataclass(frozen=True)
 class OverlapMatrix:
-    """Symmetric (N+1)x(N+1) Gram matrix of the cosine basis over a domain."""
+    """Symmetric Gram matrix of the cosine basis over a domain: N+1 row tuples."""
 
     n: int
-    entries: object  # mp.matrix
+    entries: tuple
     domain: Domain
 
     def __getitem__(self, idx):
-        return self.entries[idx]
+        return self.entries[idx[0]][idx[1]]  # delta[i, j]
 
 
 def overlap_matrix(domain: Domain, n: int, ctx: Context = FAST) -> OverlapMatrix:
@@ -123,9 +123,8 @@ def overlap_matrix(domain: Domain, n: int, ctx: Context = FAST) -> OverlapMatrix
                     for j in range(1, 2 * n + 1)]
         inv_sqrt_2pi, inv_sqrt_pi = _normalizers(mp.prec)
         scale = [inv_sqrt_2pi] + [inv_sqrt_pi] * n
-        entries = mp.zeros(n + 1, n + 1)
+        rows = []  # row m: column m of the rows above it, then its own upper part
         for m in range(n + 1):
-            for k in range(m, n + 1):
-                entries[m, k] = entries[k, m] = \
-                    scale[m] * scale[k] * (moments[k - m] + moments[m + k]) / 2
-        return OverlapMatrix(n=n, entries=entries, domain=domain)
+            rows.append(tuple(row[m] for row in rows) + tuple(scale[m] * scale[k] * (
+                moments[k - m] + moments[m + k]) / 2 for k in range(m, n + 1)))
+        return OverlapMatrix(n=n, entries=tuple(rows), domain=domain)

@@ -55,7 +55,7 @@ class GeneralizedSpectrum:
 
 
 def _bordered(delta: OverlapMatrix, frame: RotatedFrame):
-    """K = W Delta W^T and ||mu~||, at the caller's precision.
+    """K = W Delta W^T as row tuples, and ||mu~||, at the caller's precision.
 
     W's rows are the frame's f null-space rows followed by p/||mu~||, p the
     minimum-norm interpolant, as ints (frame.int_rows); with Delta's entries
@@ -73,13 +73,13 @@ def _bordered(delta: OverlapMatrix, frame: RotatedFrame):
     (rows, frac), f = frame.int_rows(), frame.free_dim
     unit = [fixed(c / norm, frac) for c in frame.mu_tilde]
     w = rows[:f] + [[sum(map(mul, unit, col)) >> frac for col in zip(*rows[f:])]]
-    d, top = fixed_rows(delta.entries.tolist(), frac)  # Delta is symmetric: its rows are its columns
+    d, top = fixed_rows(delta.entries, frac)  # Delta is symmetric: its rows are its columns
     wd = [[sum(map(mul, row, col)) >> frac for col in d] for row in w]
-    bordered = mp.zeros(f + 1, f + 1)
+    k = []  # row i: column i of the rows above it, then its own upper part
     for i in range(f + 1):
-        for j in range(i, f + 1):
-            bordered[i, j] = bordered[j, i] = mpf((sum(map(mul, wd[i], w[j])), top - 2 * frac))
-    return bordered, norm
+        k.append(tuple(row[i] for row in k) + tuple(
+            mpf((sum(map(mul, wd[i], w[j])), top - 2 * frac)) for j in range(i, f + 1)))
+    return tuple(k), norm
 
 
 def _reconstruct(y, z, bordered, fixed_k, norm, frame, ctx):
@@ -98,12 +98,12 @@ def _reconstruct(y, z, bordered, fixed_k, norm, frame, ctx):
     deflated = abs(z[f]) <= ctx.bracket_rtol
     if not deflated:
         scale = norm / z[f]
-        free_part = mp.matrix([zi * scale for zi in z[:f]]) if f else mp.matrix(0, 1)
+        free_part = tuple(zi * scale for zi in z[:f])
     else:
-        system = mp.matrix([[bordered[i, j] + z[i] * z[j] - (y if i == j else 0)
-                             for j in range(f)] for i in range(f)])
+        system = [[bordered[i][j] + z[i] * z[j] - (y if i == j else 0) for j in range(f)]
+                  for i in range(f)]
         try:
-            free_part = mp.lu_solve(system, -norm * bordered[0:f, f])
+            free_part = tuple(mp.lu_solve(system, [-norm * row[f] for row in bordered[:f]]))
             # a free part past the deflation threshold ||mu~||/bracket_rtol:
             # the lift left a coupled free-block eigenvalue at y
             if mp.norm(free_part) * ctx.bracket_rtol > norm:
@@ -114,13 +114,12 @@ def _reconstruct(y, z, bordered, fixed_k, norm, frame, ctx):
                 "free-block eigenvalues are not resolvable" % mp.nstr(y, 8),
                 diagnostics={"eigenvalue": y, "deflated": deflated},
             ) from exc
-    coeffs = frame.assemble(free_part)
-    signal = FourierCosineSignal(band_limit=frame.n, coeffs=tuple(coeffs))
+    signal = FourierCosineSignal(band_limit=frame.n, coeffs=frame.assemble(free_part))
     # r = (K - y) u with u = (x, ||mu~||): its first f rows are the
     # stationarity residual, its last the secular one over ||mu~||, which a
     # deflated root (z_last = 0) satisfies for any free part
     (k, ktop), frac = fixed_k, mp.prec + 64
-    (u,), utop = fixed_rows([list(free_part) + [norm]], frac)
+    (u,), utop = fixed_rows([[*free_part, norm]], frac)
     yk, exp = fixed(y, frac - ktop), ktop + utop - 2 * frac  # r in units 2^exp
     r = [sum(map(mul, row, u)) - yk * ui for row, ui in zip(k, u)]
     residual = mpf((math.isqrt(sum(map(mul, r[:f], r[:f]))), exp))
@@ -154,7 +153,7 @@ def _spectrum(delta, frame, ctx, kernel, method):
                     "degenerate generalized eigenvalues at working precision",
                     diagnostics={"roots": roots},
                 )
-        fixed_k = fixed_rows(bordered.tolist(), mp.prec + 64)
+        fixed_k = fixed_rows(bordered, mp.prec + 64)
         parts = [_reconstruct(y, z, bordered, fixed_k, norm, frame, ctx)
                  for y, z in zip(roots, vectors)]
         free_parts, signals, stationarity, sec_res, defl_flags = zip(*parts)
@@ -177,9 +176,9 @@ def _spectrum(delta, frame, ctx, kernel, method):
 QL_MAX_ITERATIONS = 30
 
 
-def _eigensystem(matrix):
+def _eigensystem(rows):
     """symmetric.eigensystem (fixed point, F = 2p + 64) capped at QL_MAX_ITERATIONS."""
-    return eigensystem(matrix, QL_MAX_ITERATIONS)
+    return eigensystem(rows, QL_MAX_ITERATIONS)
 
 
 # Tests reach at most 17 sweeps (N=20, M=3 on (-1, 1) at 100 digits, order
@@ -188,18 +187,19 @@ def _eigensystem(matrix):
 JACOBI_MAX_SWEEPS = 40
 
 
-def _jacobi_eigensystem(matrix):
-    """Ascending eigenvalues and unit eigenvectors (lists) by cyclic Jacobi.
+def _jacobi_eigensystem(rows):
+    """Ascending eigenvalues and unit eigenvectors (lists) of symmetric rows by
+    cyclic Jacobi.
 
-    Real mpf rotations on lists of rows, accumulating the eigenvectors.  An
-    off-diagonal a_pq is set to zero once |a_pq| <= 2^-prec sqrt(|a_pp a_qq|),
+    Real mpf rotations on a copy of the rows, accumulating the eigenvectors.
+    An off-diagonal a_pq is set to zero once |a_pq| <= 2^-prec sqrt(|a_pp a_qq|),
     the relative stopping rule of Demmel & Veselic (SIAM J. Matrix Anal.
     Appl. 13, 1992) for positive-definite matrices; the abs keeps a diagonal
     that rounds negative from a complex square root.  The solve ends after a
     sweep without a rotation.
     """
-    a, basis = matrix.tolist(), mp.eye(matrix.rows).tolist()  # basis rows: vectors
-    size, tol = len(a), mpf(2) ** -mp.prec
+    size, tol, a = len(rows), mpf(2) ** -mp.prec, [list(row) for row in rows]
+    basis = [[mpf(i == j) for j in range(size)] for i in range(size)]  # rows: vectors
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for p in range(size - 1):
@@ -257,8 +257,7 @@ def fk_min_energy_signal(frame: RotatedFrame, ctx: Context = FAST) -> FourierCos
     solution of the constraint system.
     """
     with ctx.workprec():
-        coeffs = frame.particular_solution()
-        return FourierCosineSignal(band_limit=frame.n, coeffs=tuple(coeffs))
+        return FourierCosineSignal(band_limit=frame.n, coeffs=frame.particular_solution())
 
 
 def slepian_modes(delta: OverlapMatrix, ctx: Context = FAST):

@@ -45,8 +45,8 @@ def reflect(x, v, i, frac):
     x[i:i + len(v)] = [xi - (c * vi >> frac) for xi, vi in zip(x[i:], v)]
 
 
-def eigensystem(matrix, max_iterations):
-    """Ascending eigenvalues and unit eigenvectors (lists) of a symmetric matrix,
+def eigensystem(rows, max_iterations):
+    """Ascending eigenvalues and unit eigenvectors (lists) of symmetric rows,
     or SolverFailure once one eigenvalue takes more than max_iterations QL steps.
 
     As in analysis._hessenberg_eigenvalues, with p = mp.prec every entry is an
@@ -60,7 +60,7 @@ def eigensystem(matrix, max_iterations):
     rotation to the columns of Z, from Z = I, so that T = Z diag(d) Z^T.
     Each column of Z is then taken back through the reflectors: z = Q z.
     """
-    rows, size, prec = matrix.tolist(), matrix.rows, mp.prec
+    size, prec = len(rows), mp.prec
     frac, floor, one = 2 * prec + 64, 1 << (prec + 56), 1 << (2 * prec + 64)
     a, top = fixed_rows(rows, frac)
     off, reflectors = [0] * size, []  # off[k] couples k and k + 1

@@ -100,10 +100,11 @@ def gauss_legendre(count, prec):
         return tuple((+x, +w) for x, w in rule)
 
 
-def min_norm_interpolant(cm_entries, values, dps=60):
-    """Minimum-norm solution of C A = mu via normal equations C^T (C C^T)^-1 mu."""
+def min_norm_interpolant(cm_rows, values, dps=60):
+    """Minimum-norm solution of C A = mu via normal equations C^T (C C^T)^-1 mu,
+    C given as rows."""
     with mp.workdps(dps):
-        c = cm_entries
+        c = mp.matrix(cm_rows)
         gram = c * c.T
         lam = mp.lu_solve(gram, mp.matrix([mpf(v) for v in values]))
         return c.T * lam
@@ -172,15 +173,17 @@ def projected_ascent_max_float(delta, c, mu, restarts=100, seed=0):
     return best
 
 
-def projected_ascent_max_mpf(delta, c, mu, restarts=20, seed=0, dps=60):
-    """Same maximization in arbitrary precision, for ill-conditioned cases."""
+def projected_ascent_max_mpf(delta_rows, c_rows, mu, restarts=20, seed=0, dps=60):
+    """Same maximization in arbitrary precision, for ill-conditioned cases;
+    Delta and C given as rows."""
     with mp.workdps(dps):
+        delta, c = mp.matrix(delta_rows), mp.matrix(c_rows)
         m, n = c.rows, c.cols
         mu_vec = mp.matrix([mpf(v) for v in mu])
         if m == n:
             a = mp.lu_solve(c, mu_vec)
             return (a.T * (delta * a))[0] / (a.T * a)[0]
-        a_p = min_norm_interpolant(c, mu, dps=dps)
+        a_p = min_norm_interpolant(c_rows, mu, dps=dps)
         # orthonormal null-space basis by Gram-Schmidt against the rows
         rows = [c[j, :].T for j in range(m)]
         basis = []
@@ -306,6 +309,5 @@ def stationary_free_part(delta_free, gamma, delta_fixed, mu_tilde, y, dps):
         return mp.lu_solve(delta_free - y * eye, -g)
 
 
-def mpf_matrix_to_numpy(mat):
-    return np.array([[float(mat[i, j]) for j in range(mat.cols)]
-                     for i in range(mat.rows)], dtype=float)
+def mpf_matrix_to_numpy(rows):
+    return np.array([[float(x) for x in row] for row in rows], dtype=float)

@@ -15,6 +15,7 @@ from superosc import (
     Domain,
     FourierCosineSignal,
     design_spectrum,
+    energy_per_period,
     monotonicity_table,
     overlap_matrix,
     scaling_sweep,
@@ -83,6 +84,22 @@ class TestYield:
             assert gap / report.algebraic < 1e-8
             if lam > ctx.trust_floor:
                 assert gap < mpf(10) ** (3 - ctx.digits)
+
+    # yield_of's numerator takes one fdot per entry of Delta c and one over
+    # c, the roundings of mpmath's matrix product, so the documents keep
+    # every digit they printed when Delta was an mp.matrix
+    @pytest.mark.parametrize("digits", [15, 30, 100])
+    @pytest.mark.parametrize("inner", ["0", "0.5"], ids=["interval", "annulus"])
+    def test_algebraic_is_the_matrix_product_bit_for_bit(self, inner, digits):
+        ctx = Context(digits)
+        domain = symmetrize_domain(inner, 1)
+        result = design_spectrum(10, 5, domain, ctx)
+        for sig in result.spectrum.signals:
+            report = yield_of(sig, domain, result.delta, ctx)
+            with ctx.workprec():
+                v, energy = mp.matrix(sig.coeffs), energy_per_period(sig, ctx)
+                expected = (v.T * (mp.matrix(result.delta.entries) * v))[0] / energy
+            assert report.algebraic == expected
 
     def test_zero_energy_rejected(self):
         domain = symmetrize_domain(0, 1)

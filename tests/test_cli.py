@@ -244,7 +244,7 @@ class TestSpectrum:
         eigensystem, cap = solver._eigensystem, solver.QL_MAX_ITERATIONS
 
         def stall(matrix):
-            monkeypatch.setattr(solver, "QL_MAX_ITERATIONS", 0 if matrix.rows == 7 else cap)
+            monkeypatch.setattr(solver, "QL_MAX_ITERATIONS", 0 if len(matrix) == 7 else cap)
             return eigensystem(matrix)
         monkeypatch.setattr(solver, "_eigensystem", stall)
         code, text = run_cli(tmp_path, "baseline", "-n", "6", "-m", "3",

@@ -20,7 +20,9 @@ from superosc import (
     constraint_matrix,
     evaluate,
     orthonormal_frame,
+    overlap_matrix,
     reduce_rank,
+    symmetrize_domain,
 )
 
 from oracles import min_norm_interpolant
@@ -56,9 +58,9 @@ class TestConstraintMatrix:
         cs = alternating_constraints(0, 1, 1)
         cm = constraint_matrix(cs, 6, CTX)
         with CTX.workprec():
-            assert abs(cm.entries[0, 0] - 1 / mp.sqrt(2 * mp.pi)) < 1e-15
+            assert abs(cm.entries[0][0] - 1 / mp.sqrt(2 * mp.pi)) < 1e-15
             for m in range(1, 7):
-                assert abs(cm.entries[0, m] - 1 / mp.sqrt(mp.pi)) < 1e-15
+                assert abs(cm.entries[0][m] - 1 / mp.sqrt(mp.pi)) < 1e-15
 
     def test_row_against_evaluate(self):
         rng = random.Random(5)
@@ -67,7 +69,7 @@ class TestConstraintMatrix:
         coeffs = mp.matrix([rng.uniform(-2, 2) for _ in range(10)])
         signal = FourierCosineSignal(band_limit=9, coeffs=tuple(coeffs))
         for j in range(4):
-            dot = (cm.entries[j, :] * coeffs)[0]
+            dot = (mp.matrix([cm.entries[j]]) * coeffs)[0]
             assert abs(dot - evaluate(signal, cs.points[j], CTX)) < 1e-13
 
     def test_half_pi_sign_pattern(self):
@@ -78,22 +80,16 @@ class TestConstraintMatrix:
             sign = 1
             for m in range(2, 9, 2):
                 sign = -sign
-                assert abs(cm.entries[0, m] - sign / mp.sqrt(mp.pi)) < 1e-14
+                assert abs(cm.entries[0][m] - sign / mp.sqrt(mp.pi)) < 1e-14
             for m in range(1, 9, 2):
-                assert abs(cm.entries[0, m]) < 1e-14
+                assert abs(cm.entries[0][m]) < 1e-14
 
 
 class TestReduceRank:
     def _duplicated(self, contradictory):
         cs = alternating_constraints(0, 1, 3)
         cm = constraint_matrix(cs, 5, CTX)
-        entries = mp.zeros(4, 6)
-        for j in range(3):
-            for k in range(6):
-                entries[j, k] = cm.entries[j, k]
-        for k in range(6):
-            entries[3, k] = cm.entries[0, k]
-        dup = ConstraintMatrix(n=5, entries=entries,
+        dup = ConstraintMatrix(n=5, entries=cm.entries + cm.entries[:1],
                                points=cs.points + (cs.points[0],))
         values = list(cs.values) + [-1 if contradictory else 1]
         return dup, values
@@ -116,7 +112,7 @@ class TestReduceRank:
         reduced, values = reduce_rank(cm, cs.values, mpf("1e-10"), CTX)
         assert reduced is cm
         assert values == cs.values
-        as_float = np.array([[float(cm.entries[i, j]) for j in range(9)]
+        as_float = np.array([[float(cm.entries[i][j]) for j in range(9)]
                              for i in range(5)])
         assert np.linalg.matrix_rank(as_float, tol=1e-10) == 5
 
@@ -126,10 +122,7 @@ class TestReduceRank:
         with CTX.workprec():
             points = (mpf(0), mpf("0.5"), mpf("0.5") + mpf("1e-12"))
         cm = constraint_matrix(ConstraintSet(points=points, values=(1, -1, -1)), 5, CTX)
-        entries = mp.zeros(4, 6)
-        for j in range(4):
-            for k in range(6):
-                entries[j, k] = cm.entries[j % 3, k]
+        entries = tuple(cm.entries[j % 3] for j in range(4))
         dup = ConstraintMatrix(n=5, entries=entries, points=points + (points[0],))
         reduced, kept_values = reduce_rank(dup, [1, -1, -1, 1], mpf("1e-20"), CTX)
         assert reduced.points == points
@@ -163,7 +156,8 @@ class TestFrame:
         cm = constraint_matrix(cs, 11, CTX)
         frame = orthonormal_frame(cm, cs.values, completion_seed=9, ctx=CTX)
         with CTX.workprec():
-            product = frame.rotation * frame.rotation.T
+            rotation = mp.matrix(frame.rotation)
+            product = rotation * rotation.T
             worst = max(abs(product[i, j] - (1 if i == j else 0))
                         for i in range(12) for j in range(12))
         assert worst < 1e-12
@@ -195,7 +189,8 @@ class TestFrame:
         frame = orthonormal_frame(cm, cs.values, completion_seed=1, ctx=CTX)
         reference = min_norm_interpolant(cm.entries, cs.values)
         with CTX.workprec():
-            norm_sq = (frame.mu_tilde.T * frame.mu_tilde)[0]
+            mu_tilde = mp.matrix(frame.mu_tilde)
+            norm_sq = (mu_tilde.T * mu_tilde)[0]
             ref_energy = (reference.T * reference)[0]
         assert abs(norm_sq - ref_energy) / ref_energy < 1e-12
 
@@ -236,6 +231,23 @@ class TestFrame:
         assert one.mu_tilde == other.mu_tilde
         assert (one.completion_seed, other.completion_seed) == (1, 20260808)
 
+    def test_containers_are_immutable(self):
+        # Delta, C, the rotation and mu~ are tuples: no entry can change
+        # under frame.int_rows' cache or under another holder of the object
+        cs = alternating_constraints(0, 1, 3)
+        cm = constraint_matrix(cs, 6, CTX)
+        frame = orthonormal_frame(cm, cs.values, ctx=CTX)
+        delta = overlap_matrix(symmetrize_domain(0, 1), 6, CTX)
+        for rows in (delta.entries, cm.entries, frame.rotation):
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            with pytest.raises(TypeError):
+                rows[0] = rows[1]
+            with pytest.raises(TypeError):
+                rows[-1][0] *= 2
+        assert type(frame.mu_tilde) is tuple
+        with pytest.raises(TypeError):
+            frame.mu_tilde[0] = mpf(2)
+
     def test_row_space_rows_are_gram_schmidt_of_constraints(self):
         # the trailing rotation rows are the rows of C orthonormalized in
         # order: each has a positive inner product with its own row and is
@@ -244,7 +256,7 @@ class TestFrame:
         cm = constraint_matrix(cs, 8, CTX)
         frame = orthonormal_frame(cm, cs.values, completion_seed=0, ctx=CTX)
         with CTX.workprec():
-            inner = frame.rotation * cm.entries.T
+            inner = mp.matrix(frame.rotation) * mp.matrix(cm.entries).T
         for i in range(frame.free_dim):
             assert all(abs(inner[i, j]) < 1e-13 for j in range(4))
         for i in range(4):
@@ -286,11 +298,16 @@ class TestIntegerFrame:
             assert calls  # the guard sees the operators the check above used
 
     def test_src_calls_no_mp_qr(self):
+        # no QR of an mp.matrix, and no mp.matrix at all: every matrix in
+        # src/ is a tuple of row tuples, and no call builds or unpacks another
+        refused = {"qr", "matrix", "zeros", "eye", "diag", "tolist"}
         src = pathlib.Path(constraints.__file__).parent
         for path in sorted(src.glob("*.py")):
-            calls = [node.func.attr for node in ast.walk(ast.parse(path.read_text()))
-                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
-            assert "qr" not in calls, path.name
+            calls = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Call)
+                     and isinstance(node.func, (ast.Attribute, ast.Name))}
+            assert not calls & refused, (path.name, sorted(calls & refused))
 
     @pytest.mark.parametrize("digits", [15, 40, 100])
     def test_assemble_matches_matrix_product(self, digits):
@@ -303,10 +320,11 @@ class TestIntegerFrame:
         cm = constraint_matrix(cs, 12, ctx)
         with ctx.workprec():
             frame = orthonormal_frame(cm, cs.values, ctx=ctx)
-            turned = frame.rotation.copy()
-            turned[0:8, :] = _random_orthogonal(8, rng) * frame.rotation[0:8, :]
-            frames = [RotatedFrame(rotation=rotation, free_dim=8, mu_tilde=frame.mu_tilde,
-                                   completion_seed=0, points=cs.points, values=cs.values)
+            turned = mp.matrix(frame.rotation)
+            turned[0:8, :] = _random_orthogonal(8, rng) * turned[0:8, :]
+            frames = [RotatedFrame(rotation=rotation.tolist(), free_dim=8,
+                                   mu_tilde=frame.mu_tilde, completion_seed=0,
+                                   points=cs.points, values=cs.values)
                       for rotation in (_random_orthogonal(13, rng), turned)]
             for frame in frames:
                 for scale in (mpf("1e-30"), 1, mpf("1e30")):
@@ -314,7 +332,7 @@ class TestIntegerFrame:
                     coeffs = frame.assemble(free)
                     b = free + list(frame.mu_tilde)
                     with mp.workdps(2 * ctx.work_dps):
-                        reference = mp.matrix([b]) * frame.rotation
+                        reference = mp.matrix([b]) * mp.matrix(frame.rotation)
                         slack = mp.ldexp(mp.fsum(b, absolute=True), -32)
                     for c, ref in zip(coeffs, reference):
                         assert abs(c - ref) <= mp.eps * (abs(ref) + slack)

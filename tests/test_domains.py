@@ -126,7 +126,7 @@ class TestOverlapMatrix:
             return
         delta = overlap_matrix(Domain(((lo, hi),)), 6, CTX)
         x = mp.matrix([rng.uniform(-1, 1) for _ in range(7)])
-        form = (x.T * (delta.entries * x))[0]
+        form = (x.T * (mp.matrix(delta.entries) * x))[0]
         norm = (x.T * x)[0]
         assert -1e-13 * norm <= form <= norm * (1 + 1e-13)
 
@@ -135,7 +135,7 @@ class TestOverlapMatrix:
         delta = overlap_matrix(symmetrize_domain("0.4", "1.7"), 8, CTX)
         for _ in range(100):
             x = mp.matrix([rng.uniform(-1, 1) for _ in range(9)])
-            form = (x.T * (delta.entries * x))[0]
+            form = (x.T * (mp.matrix(delta.entries) * x))[0]
             norm = (x.T * x)[0]
             assert -1e-13 * norm <= form <= norm * (1 + 1e-13)
 

@@ -88,7 +88,7 @@ class TestCosineKernel:
                 value = evaluate(unit, t, self.HIGH)
                 with mp.workdps(130):
                     exact = basis_value(i, t)
-                    assert abs(cm.entries[j, i] - exact) < tol, (i, t)
+                    assert abs(cm.entries[j][i] - exact) < tol, (i, t)
                     assert abs(value - exact) < tol, (i, t)
 
     @pytest.mark.parametrize("n, m, inner, digits",

@@ -1,7 +1,7 @@
 """Tests for the generalized spectrum solver and baselines."""
 
 import ast
-import inspect
+import pathlib
 import random
 import warnings
 
@@ -43,6 +43,7 @@ from oracles import (
 CTX = Context(15)
 CTX30 = Context(30)
 CTX40 = Context(40)
+SRC = pathlib.Path(solver.__file__).parent
 
 
 def build_problem(n, m, domain, ctx, seed=0):
@@ -65,7 +66,8 @@ def frame_blocks(delta, frame, ctx):
     oracles' input, formed independently of the solver's K.
     """
     with ctx.workprec():
-        rotated = frame.rotation * delta.entries * frame.rotation.T
+        rotation = mp.matrix(frame.rotation)
+        rotated = rotation * mp.matrix(delta.entries) * rotation.T
     f, size = frame.free_dim, delta.n + 1
     return rotated[0:f, 0:f], rotated[0:f, f:size], rotated[f:size, f:size]
 
@@ -77,9 +79,9 @@ def hand_built(delta_free, gamma, delta_fixed):
     rows = [a + b for a, b in zip(delta_free, gamma)]
     rows.append([g[0] for g in gamma] + delta_fixed[0])
     with CTX.workprec():
-        delta = OverlapMatrix(n=2, entries=mp.matrix(rows), domain=None)
-        frame = RotatedFrame(rotation=mp.eye(3), free_dim=2,
-                             mu_tilde=mp.matrix([mpf(1)]), completion_seed=0,
+        delta = OverlapMatrix(n=2, entries=mp.matrix(rows).tolist(), domain=None)
+        frame = RotatedFrame(rotation=mp.eye(3).tolist(), free_dim=2,
+                             mu_tilde=[mpf(1)], completion_seed=0,
                              points=(mpf(0),), values=(mpf(1),))
     return delta, frame
 
@@ -92,10 +94,10 @@ class TestBordered:
         _, _, frame, delta = build_problem(7, 3, domain, CTX)
         with CTX.workprec():
             k, _ = solver._bordered(delta, frame)
-        assert k.rows == k.cols == 6  # f + 1
+        assert len(k) == len(k[0]) == 6  # f + 1
         for i in range(6):
             for j in range(6):
-                assert abs(k[i, j] - (1 if i == j else 0)) < 1e-12
+                assert abs(k[i][j] - (1 if i == j else 0)) < 1e-12
 
     def test_saturated_constraints_leave_no_free_block(self):
         domain = symmetrize_domain(0, 1)
@@ -103,14 +105,14 @@ class TestBordered:
         with CTX.workprec():
             k, _ = solver._bordered(delta, frame)
         assert frame.free_dim == 0
-        assert k.rows == k.cols == 1
+        assert len(k) == len(k[0]) == 1
 
     def test_exactly_symmetric(self):
         domain = symmetrize_domain(0, "1.3")
         _, _, frame, delta = build_problem(9, 4, domain, CTX)
         with CTX.workprec():
             k, _ = solver._bordered(delta, frame)
-        assert all(k[i, j] == k[j, i] for i in range(k.rows) for j in range(k.rows))
+        assert all(k[i][j] == k[j][i] for i in range(len(k)) for j in range(len(k)))
 
     def test_matches_w_delta_w_transpose(self):
         # W: the frame's null-space rows, then the minimum-norm interpolant
@@ -121,10 +123,10 @@ class TestBordered:
         with CTX30.workprec():
             k, norm = solver._bordered(delta, frame)
             assert abs(norm - mp.norm(frame.mu_tilde)) < mpf("1e-30") * norm
-            w = frame.rotation[0:f + 1, :]
-            w[f, :] = frame.particular_solution() / norm
-            reference = w * delta.entries * w.T
-            worst = max(abs(k[i, j] - reference[i, j])
+            w = mp.matrix(frame.rotation[0:f + 1])
+            w[f, :] = mp.matrix([frame.particular_solution()]) / norm
+            reference = w * mp.matrix(delta.entries) * w.T
+            worst = max(abs(k[i][j] - reference[i, j])
                         for i in range(f + 1) for j in range(f + 1))
         assert worst < mpf("1e-30")
 
@@ -158,7 +160,7 @@ class TestSecularSpectrum:
         assert len(spec) == 1
         with CTX30.workprec():
             a = mp.lu_solve(cm.entries, mp.matrix(cs.values))
-            direct = (a.T * (delta.entries * a))[0] / (a.T * a)[0]
+            direct = (a.T * (mp.matrix(delta.entries) * a))[0] / (a.T * a)[0]
         assert abs(spec.eigenvalues[0] - direct) / direct < 1e-25
 
     def test_stationarity_residuals_small(self):
@@ -168,7 +170,7 @@ class TestSecularSpectrum:
         for res, fp in zip(spec.diagnostics["stationarity_residuals"],
                            spec.free_parts):
             with CTX30.workprec():
-                scale = 1 + mp.sqrt((fp.T * fp)[0])
+                scale = 1 + mp.sqrt(mp.fdot(fp, fp))
             assert res < mpf("1e-15") * scale
 
     def test_yield_consistency(self):
@@ -178,7 +180,7 @@ class TestSecularSpectrum:
         with CTX30.workprec():
             for lam, sig in zip(spec.eigenvalues, spec.signals):
                 vec = mp.matrix(sig.coeffs)
-                ray = (vec.T * (delta.entries * vec))[0] / (vec.T * vec)[0]
+                ray = (vec.T * (mp.matrix(delta.entries) * vec))[0] / (vec.T * vec)[0]
                 assert abs(ray - lam) / lam < mpf("1e-12")
 
     def test_constraint_satisfaction(self):
@@ -257,7 +259,7 @@ class TestSignalProperties:
         with CTX40.workprec():
             for lam, sig in zip(result.spectrum.eigenvalues, result.spectrum.signals):
                 vec = mp.matrix(sig.coeffs)
-                ray = (vec.T * (result.delta.entries * vec))[0] / (vec.T * vec)[0]
+                ray = (vec.T * (mp.matrix(result.delta.entries) * vec))[0] / (vec.T * vec)[0]
                 assert 0 < ray < 1
                 if lam > CTX40.trust_floor:
                     assert abs(ray - lam) <= mpf("1e-20") * lam
@@ -279,9 +281,9 @@ class TestFreeBasisInvariance:
         with CTX30.workprec():
             u, _ = mp.qr(mp.matrix([[rng.uniform(-1, 1) for _ in range(f)]
                                     for _ in range(f)]))
-            rotation = frame.rotation.copy()
-            rotation[0:f, :] = u.T * frame.rotation[0:f, :]
-        turned = RotatedFrame(rotation=rotation, free_dim=f,
+            rotation = mp.matrix(frame.rotation)
+            rotation[0:f, :] = u.T * rotation[0:f, :]
+        turned = RotatedFrame(rotation=rotation.tolist(), free_dim=f,
                               mu_tilde=frame.mu_tilde, completion_seed=1,
                               points=frame.points, values=frame.values)
         other = secular_spectrum(delta, turned, CTX30)
@@ -321,7 +323,7 @@ class TestBorderedMatchesSecular:
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert vals[0] > CTX40.trust_floor
         delta_free, gamma, delta_fixed = frame_blocks(delta, frame, CTX40)
-        s = secular_equation(delta_free, gamma, delta_fixed, frame.mu_tilde,
+        s = secular_equation(delta_free, gamma, delta_fixed, mp.matrix(frame.mu_tilde),
                              dps=CTX40.digits + 40)
         for y, deflated in zip(vals, spec.diagnostics["deflated"]):
             if not deflated:
@@ -354,9 +356,9 @@ class TestFreePartFromEigenvector:
             if deflated:
                 continue
             ref = stationary_free_part(delta_free, gamma, delta_fixed,
-                                       frame.mu_tilde, y, 80)
+                                       mp.matrix(frame.mu_tilde), y, 80)
             with mp.workdps(80):
-                assert mp.norm(x - ref) <= CTX40.eps / y * mp.norm(ref)
+                assert mp.norm(mp.matrix(x) - ref) <= CTX40.eps / y * mp.norm(ref)
 
     def test_lu_solves_only_for_deflated_roots(self, monkeypatch):
         _, _, frame, delta = build_problem(10, 6, symmetrize_domain(0, 1), CTX30)
@@ -500,7 +502,7 @@ class TestEigensystem:
     def test_matches_eigsy_with_small_residuals(self, order, digits, kind, seed):
         with mp.workdps(digits):
             a = random_symmetric(order, kind, random.Random(seed))
-            values, vectors = solver._eigensystem(a)
+            values, vectors = solver._eigensystem(a.tolist())
             norm = mp.mnorm(a, 1)
             tol = 100 * mp.eps * norm
             bound = mp.eps * norm
@@ -526,7 +528,7 @@ class TestEigensystem:
             repeated = [1, 1, 2, 2, 3, 3][:order]
             for a in (mp.zeros(order, order), mp.eye(order), 2 * mp.eye(order),
                       mp.diag(repeated), mp.diag(repeated[::-1])):
-                values, vectors = solver._eigensystem(a)
+                values, vectors = solver._eigensystem(a.tolist())
                 norm = mp.mnorm(a, 1)
                 assert values == sorted(a[i, i] for i in range(order))
                 for y, z in zip(values, vectors):
@@ -550,7 +552,7 @@ class TestEigensystem:
         with mp.workdps(100):
             a = random_symmetric(12, "dense", random.Random(1701))
             calls.clear()
-            values, vectors = solver._eigensystem(a)
+            values, vectors = solver._eigensystem(a.tolist())
             assert calls == []
             assert len(values) == 12 and abs(mp.fdot(vectors[0], vectors[0]) - 1) < mp.eps
             assert calls  # the guard sees the operators the check above used
@@ -579,17 +581,19 @@ class TestEigensystem:
                 h[i][i + 1] = h[i + 1][i] = mpf(1) / 2
             for k in range(10):
                 h[k][9] -= coeffs[k] / 2
-            outputs = [solver._eigensystem(a), analysis._hessenberg_eigenvalues(h)]
+            outputs = [solver._eigensystem(a.tolist()), analysis._hessenberg_eigenvalues(h)]
             monkeypatch.setattr(symmetric, "fixed", lambda x, shift: int(mp.ldexp(x, shift)))
-            assert [solver._eigensystem(a), analysis._hessenberg_eigenvalues(h)] == outputs
+            assert [solver._eigensystem(a.tolist()),
+                    analysis._hessenberg_eigenvalues(h)] == outputs
 
-    @pytest.mark.parametrize("module", [solver, symmetric], ids=["solver", "symmetric"])
-    def test_imports_nothing_from_mpmath_matrices(self, module):
-        tree = ast.parse(inspect.getsource(module))
+    @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+    def test_imports_nothing_from_mpmath_matrices(self, path):
+        tree = ast.parse(path.read_text())
         modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                     for alias in node.names]
-        assert "mpmath" in modules
+        # every module but the package index and its exceptions imports mpmath
+        assert ("mpmath" in modules) == (path.stem not in ("__init__", "errors"))
         assert not [m for m in modules if m.startswith("mpmath.matrices")]
 
 
@@ -602,7 +606,7 @@ class TestJacobiEigensystem:
     def test_graded_positive_definite(self, order, digits, grading, seed):
         with mp.workdps(digits):
             a = graded_positive_definite(order, grading, random.Random(seed))
-            values, vectors = solver._jacobi_eigensystem(a)
+            values, vectors = solver._jacobi_eigensystem(a.tolist())
             norm = mp.mnorm(a, 1)
             tol = 100 * mp.eps * norm
             assert values == sorted(values)
@@ -690,7 +694,8 @@ class TestBaselines:
         _, _, frame, _ = build_problem(10, 5, domain, CTX30)
         fk = fk_min_energy_signal(frame, CTX30)
         with CTX30.workprec():
-            norm_sq = (frame.mu_tilde.T * frame.mu_tilde)[0]
+            mu_tilde = mp.matrix(frame.mu_tilde)
+            norm_sq = (mu_tilde.T * mu_tilde)[0]
         energy = energy_per_period(fk, CTX30)
         assert abs(energy - norm_sq) / norm_sq < 1e-28
 
@@ -708,7 +713,7 @@ class TestBaselines:
         fk = fk_min_energy_signal(result.frame, CTX30)
         with CTX30.workprec():
             vec = mp.matrix(fk.coeffs)
-            fk_yield = (vec.T * (result.delta.entries * vec))[0] / (vec.T * vec)[0]
+            fk_yield = (vec.T * (mp.matrix(result.delta.entries) * vec))[0] / (vec.T * vec)[0]
         assert fk_yield <= result.optimal_yield
 
     def test_slepian_full_period_all_ones(self):
