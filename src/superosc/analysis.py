@@ -5,13 +5,16 @@ quadratic form (the cosine-moment overlap matrix of domains.py) and by
 fixed rules on the squared signal: Gauss-Legendre on each domain interval,
 with a node count derived from an error bound, and the trapezoid rule on
 2N+1 nodes for the period, exact for f^2 and sampled by the kernel's grid
-form.  The rule route evaluates the signal through the integer cosine
-kernel (signals.series_values), which shares only the cached basis
-normalizers with overlap_matrix, so their agreement is a real consistency
-check.  Oscillations are strict sign changes on a uniform grid (default
-density 1e5 points per unit length), samples from the same kernel, those
-within rounding of zero counting as zero.  Only the samples next to a root
-are evaluated, since the sign cannot change between them; the roots are the
+form.  The Gauss-Legendre rules come from Newton steps on Python ints.
+Every signal is even, so a rule centred at 0 evaluates f once per +-x pair,
+and an interval whose mirror is in the domain reuses its integral.  The
+rule route evaluates the signal through the integer cosine kernel
+(signals.series_values), which shares only the cached basis normalizers
+with overlap_matrix, so their agreement is a real consistency check.
+Oscillations are strict sign changes on a uniform grid (default density 1e5
+points per unit length), samples from the same kernel, those within
+rounding of zero counting as zero.  Only the samples next to a root are
+evaluated, since the sign cannot change between them; the roots are the
 eigenvalues of the Chebyshev colleague matrix, whose transpose is already
 upper Hessenberg, found by a real double-shift QR that computes eigenvalues
 only.  The QR runs in fixed point on Python ints, in units of 2^-(2p+64)
@@ -30,7 +33,7 @@ from .design import design_spectrum
 from .domains import Domain, OverlapMatrix, overlap_matrix, symmetrize_domain
 from .errors import RankDeficientConstraints, SolverFailure
 from .signals import FourierCosineSignal, energy_per_period, series_values
-from .symmetric import fixed_rows
+from .symmetric import fixed, fixed_rows
 
 GRID_DENSITY = 10 ** 5  # crossing-count samples per unit length
 
@@ -64,36 +67,51 @@ def _node_count(n, length, digits):
 def _gauss_legendre(count, prec):
     """(node, weight) pairs of the count-point Gauss-Legendre rule on [-1, 1].
 
-    Newton iteration on the Legendre recurrence, three steps in floats and
-    then at 1.5 times the precision, as in mpmath's GaussLegendre, rounded
-    to prec bits.
+    Newton iteration on the Legendre recurrence (Hale and Townsend, SIAM J.
+    Sci. Comput. 35, 2013): three steps in floats, then steps in fixed point
+    on ints in units 2^-F, F = prec + 64, until |dx| <= 2^-(prec+8).  The
+    weight 2/((1 - x^2) P'^2) is formed on ints with P' from the last step,
+    taken before its update, so that the rule is the 1.5 prec-bit mpf
+    iteration's bit for bit (tests/oracles.py); near x = +-1 that leaves a
+    weight a few units off in its last place.  Nodes and weights are rounded
+    once to prec bits.  Pairs +-x come next to each other, x = 0 last.
     """
-    rule = []
-    with mp.workprec(int(prec * 1.5)):
+    frac, rule = prec + 64, []
+    one = 1 << frac
+    with mp.workprec(prec):
         for j in range(1, (count + 1) // 2 + 1):
             x = math.cos(math.pi * (j - 0.25) / (count + 0.5)) if 2 * j <= count else 0.0
-            step, dx = 0, 1
-            while step <= 3 or abs(dx) > mp.ldexp(1, -prec - 8):
-                if step == 3:
-                    x = mpf(x)
+            for _ in range(3):
                 p1, p0 = 1, 0
                 for k in range(1, count + 1):
                     p1, p0 = ((2 * k - 1) * x * p1 - (k - 1) * p0) / k, p1
-                slope = count * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / slope
+                x -= p1 / (count * (x * p1 - p0) / (x * x - 1))
+            x, dx = fixed(x, frac), one
+            while abs(dx) > 1 << 56:  # 2^-(prec+8), the mpf iteration's stop
+                p1, p0 = one, 0
+                for k in range(1, count + 1):
+                    p1, p0 = ((2 * k - 1) * (x * p1 >> frac) - (k - 1) * p0) // k, p1
+                slope = count * ((x * p1 >> frac) - p0 << frac) // ((x * x >> frac) - one)
+                dx = (p1 << frac) // slope
                 x -= dx
-                step += 1
-            weight = 2 / ((1 - x * x) * slope ** 2)
-            rule += [(x, weight), (-x, weight)] if x else [(x, weight)]
-    with mp.workprec(prec):
-        return tuple((+x, +w) for x, w in rule)
+            weight = mpf(((2 << 5 * frac) // ((one << frac) - x * x) // (slope * slope), -frac))
+            node = mpf((x, -frac))
+            rule += [(node, weight), (-node, weight)] if x else [(node, weight)]
+    return tuple(rule)
 
 
 def _integrate_squared(signal, lo, hi, digits):
-    """Integral of f^2 over [lo, hi] by one Gauss-Legendre rule."""
+    """Integral of f^2 over [lo, hi] by one Gauss-Legendre rule.
+
+    f is even and the node mid + half*x of a rule centred at 0 (mid = 0
+    exactly) is minus that of -x, so there f is evaluated once per pair.
+    """
     half, mid = (hi - lo) / 2, (hi + lo) / 2
     rule = _gauss_legendre(_node_count(signal.band_limit, float(hi - lo), digits), mp.prec)
-    values = series_values(signal, [mid + half * x for x, _ in rule])
+    nodes = rule[::2] if mid == 0 else rule
+    values = series_values(signal, [mid + half * x for x, _ in nodes])
+    if mid == 0:
+        values = [v for v in values for _ in (0, 1)]
     return half * mp.fsum(w * v * v for (_, w), v in zip(rule, values))
 
 
@@ -125,10 +143,11 @@ def yield_of(signal: FourierCosineSignal, domain: Domain,
     headroom = max(0, int(mp.ceil(mp.log10(coeff_sum / inside_scale))) if inside_scale > 0 else 0)
     quad_dps = ctx.work_dps + headroom + 10
     with mp.workdps(quad_dps):
-        num_quad = mp.fsum(
-            _integrate_squared(signal, mpf(lo), mpf(hi), quad_dps + headroom)
-            for lo, hi in domain.intervals
-        )
+        parts = {}  # an interval's mirror has the same terms, each +-x pair swapped
+        for lo, hi in ((mpf(lo), mpf(hi)) for lo, hi in domain.intervals):
+            parts[lo, hi] = parts.get((-hi, -lo)) or _integrate_squared(
+                signal, lo, hi, quad_dps + headroom)
+        num_quad = mp.fsum(parts.values())
         quadrature = num_quad / _integrate_squared_period(signal)
     with ctx.workprec():
         return YieldReport(algebraic=+algebraic, quadrature=+quadrature,

@@ -31,7 +31,7 @@ from .context import Context
 from .design import METHODS, design_spectrum
 from .domains import parse_domain_spec, symmetrize_domain
 from .errors import InfeasibleConstraints, SolverFailure
-from .signals import evaluate, sample
+from .signals import evaluate, sample, series_values  # noqa: F401, bench/spans.py wraps evaluate
 from .solver import fk_min_energy_signal, jacobi_spectrum, slepian_modes
 
 EXIT_OK = 0
@@ -148,10 +148,8 @@ def _mode_entry(index, lam, signal, result, ctx):
     report = yield_of(signal, result.domain, result.delta, ctx)
     diag = result.spectrum.diagnostics
     with ctx.workprec():
-        residual = max(
-            abs(evaluate(signal, t, ctx) - v)
-            for t, v in zip(result.frame.points, result.frame.values)
-        )
+        values = series_values(signal, [ctx.real(t) for t in result.frame.points])
+        residual = max(abs(f - v) for f, v in zip(values, result.frame.values))
     return {
         "index": index,
         "eigenvalue": ctx.to_decimal(lam),

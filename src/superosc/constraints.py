@@ -67,6 +67,9 @@ class ConstraintMatrix:
     entries: tuple
     points: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+
     @property
     def m(self):
         return len(self.points)

@@ -102,6 +102,9 @@ class OverlapMatrix:
     entries: tuple
     domain: Domain
 
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+
     def __getitem__(self, idx):
         return self.entries[idx[0]][idx[1]]  # delta[i, j]
 
@@ -127,4 +130,4 @@ def overlap_matrix(domain: Domain, n: int, ctx: Context = FAST) -> OverlapMatrix
         for m in range(n + 1):
             rows.append(tuple(row[m] for row in rows) + tuple(scale[m] * scale[k] * (
                 moments[k - m] + moments[m + k]) / 2 for k in range(m, n + 1)))
-        return OverlapMatrix(n=n, entries=tuple(rows), domain=domain)
+        return OverlapMatrix(n=n, entries=rows, domain=domain)

@@ -137,10 +137,27 @@ class TestQuadratureRules:
                 else:
                     assert abs(got - exact) > mpf(10) ** -10, degree
 
-    @pytest.mark.parametrize("count, prec", [(61, 462), (20, 120)])
+    @pytest.mark.parametrize("count, prec", [
+        (61, 462), (20, 120),
+        (58, 445), (60, 455), (44, 143), (52, 193), (92, 322), (115, 399),
+        *[(count, prec) for prec in (64, 256) for count in (2, 3, 5, 8, 13)],
+    ])
     def test_float_start_gives_the_mpf_only_rule(self, count, prec):
-        # (61, 462) is the first mode's rule in the benchmark's spectrum report
+        # (61, 462) is the first mode's rule in the benchmark's spectrum
+        # report, (92, 322) and (115, 399) the ends of an N=20 70-digit one:
+        # the fixed-point Newton steps give the mpf iteration's rule bit for bit
         assert _gauss_legendre(count, prec) == gauss_legendre(count, prec)
+
+    def test_fixed_point_rule_exact_at_300_bits(self):
+        with mp.workprec(300):
+            rule = _gauss_legendre(20, 300)
+            for degree in range(41):
+                got = mp.fsum(w * x ** degree for x, w in rule)
+                exact = mpf(2) / (degree + 1) if degree % 2 == 0 else 0
+                if degree < 40:
+                    assert abs(got - exact) < mp.ldexp(1, -290), degree
+                else:
+                    assert abs(got - exact) > mpf(10) ** -20
 
     def test_routes_agree_on_benchmark_configuration(self):
         # The benchmark's spectrum report: N=10, M=9 on the annulus (0.5, 1)
@@ -165,6 +182,51 @@ class TestQuadratureRules:
                  for lineno, line in enumerate(path.read_text().splitlines(), start=1)
                  if "mp.quad" in line or re.search(r"\bquad\w*\(", line)]
         assert sites == []
+
+
+class TestEvenQuadrature:
+    """f is even: a rule centred at 0 evaluates f once per +-x pair, and an
+    interval whose mirror is in the domain reuses the mirror's integral."""
+
+    @pytest.mark.parametrize("digits", [15, 30, 100])
+    @pytest.mark.parametrize("domain", [
+        symmetrize_domain(0, "0.8"), symmetrize_domain("0.5", 1), Domain(((0.2, 1.2),)),
+    ], ids=["interval", "annulus", "asymmetric"])
+    def test_matches_every_node_evaluated(self, monkeypatch, domain, digits):
+        ctx = Context(digits)
+        signal = design_spectrum(8, 5, domain, ctx).optimal_signal
+        integrals, sizes = [], []
+        integrate, values_at = analysis._integrate_squared, analysis.series_values
+
+        def spy_integrate(sig, lo, hi, quad_digits):
+            integrals.append((mp.prec, quad_digits))
+            return integrate(sig, lo, hi, quad_digits)
+
+        def spy_values(sig, points, step=None):
+            if step is None:
+                sizes.append(len(points))
+            return values_at(sig, points, step)
+
+        monkeypatch.setattr(analysis, "_integrate_squared", spy_integrate)
+        monkeypatch.setattr(analysis, "series_values", spy_values)
+        report = yield_of(signal, domain, ctx=ctx)
+        assert len(integrals) == 1  # the annulus integrates one of its two intervals
+        prec, quad_digits = integrals[0]
+        with mp.workprec(prec):
+            parts = []
+            for lo, hi in domain.intervals:
+                lo, hi = mpf(lo), mpf(hi)
+                half, mid = (hi - lo) / 2, (hi + lo) / 2
+                count = _node_count(signal.band_limit, float(hi - lo), quad_digits)
+                rule = _gauss_legendre(count, prec)
+                values = values_at(signal, [mid + half * x for x, _ in rule])
+                parts.append(half * mp.fsum(w * v * v for (_, w), v in zip(rule, values)))
+            full = mp.fsum(parts) / analysis._integrate_squared_period(signal)
+        with ctx.workprec():
+            assert report.quadrature == +full
+        lo, hi = domain.intervals[0]
+        count = _node_count(signal.band_limit, float(hi - lo), quad_digits)
+        assert sizes == [(count + 1) // 2 if lo == -hi else count]
 
 
 def colleague(a):

@@ -14,6 +14,7 @@ from superosc import (
     Context,
     FourierCosineSignal,
     InfeasibleConstraints,
+    OverlapMatrix,
     RankDeficientConstraints,
     RotatedFrame,
     alternating_constraints,
@@ -247,6 +248,22 @@ class TestFrame:
         assert type(frame.mu_tilde) is tuple
         with pytest.raises(TypeError):
             frame.mu_tilde[0] = mpf(2)
+
+    @pytest.mark.parametrize("cls, fields", [
+        (OverlapMatrix, {"n": 1, "domain": None}),
+        (ConstraintMatrix, {"n": 1, "points": (mpf(0), mpf(1))}),
+    ])
+    def test_matrix_entries_become_row_tuples_at_construction(self, cls, fields):
+        # lists of rows are copied into tuples of row tuples, and an
+        # mp.matrix, which iterates over its entries, fails here and not
+        # later inside yield_of or orthonormal_frame
+        rows = [[mpf(1), mpf(2)], [mpf(3), mpf(4)]]
+        held = cls(entries=rows, **fields)
+        rows[0][0] = mpf(5)
+        assert type(held.entries) is tuple and all(type(row) is tuple for row in held.entries)
+        assert held.entries == ((1, 2), (3, 4))
+        with pytest.raises(TypeError):
+            cls(entries=mp.matrix(rows), **fields)
 
     def test_row_space_rows_are_gram_schmidt_of_constraints(self):
         # the trailing rotation rows are the rows of C orthonormalized in
