@@ -13,13 +13,11 @@ rule route evaluates the signal through the integer cosine kernel
 with overlap_matrix, so their agreement is a real consistency check.
 Oscillations are strict sign changes on a uniform grid (default density 1e5
 points per unit length), samples from the same kernel, those within
-rounding of zero counting as zero.  Only the samples next to a root are
-evaluated, since the sign cannot change between them; the roots are the
-eigenvalues of the Chebyshev colleague matrix, whose transpose is already
-upper Hessenberg, found by a real double-shift QR that computes eigenvalues
-only.  The QR runs in fixed point on Python ints, in units of 2^-(2p+64)
-||h||_1 at p bits of precision, and deflates a subdiagonal entry below eps
-||h||_1 at the latest, the backward error of the same QR in mpf.
+rounding of zero counting as zero.  Only the samples next to a real root
+are evaluated, since the sign cannot change between them.  With f(t) =
+p(cos t), the real roots of p in [-1, 1] are isolated on Python ints by
+Descartes' rule of signs and bisection, to intervals whose t-images are
+below the grid step; complex roots, which change no sign, are never formed.
 """
 
 import functools
@@ -160,11 +158,17 @@ def zero_crossings(signal: FourierCosineSignal, domain: Domain,
 
     Samples are taken at dps = 25 digits plus the cancellation headroom of
     the coefficients, only at the interval ends and in the cells around a
-    root (the full grid adds no sign change between them); one within the
-    rounding error of zero, 10^-dps sum |A_k|, counts as zero, so a change
-    across zero samples is registered once and a tangent zero adds none.
-    Each interval of the domain is counted separately; nothing outside the
-    domain contributes.
+    real root (the full grid adds no sign change between them); one within
+    the rounding error of zero, 10^-dps sum |A_k|, counts as zero, so a
+    change across zero samples is registered once and a tangent zero adds
+    none.  Each interval of the domain is counted separately; nothing
+    outside the domain contributes.
+
+    f(t) = p(cos t) for p = sum a_k T_k, a_0 = A_0/sqrt(2), a_k = A_k (up to
+    1/sqrt(pi)).  _real_roots isolates p's roots, 20 digits above dps, to
+    t-images below measure/grid_points, under the step of every interval with
+    more than two samples: a sign change lies within a step of the angle of
+    its interval's midpoint, in samples cell - 1 to cell + 2 of its cell.
     """
     if grid_points is None:
         grid_points = max(1000, int(mp.ceil(domain.measure * GRID_DENSITY)))
@@ -173,7 +177,12 @@ def zero_crossings(signal: FourierCosineSignal, domain: Domain,
     scale = max(abs(c) for c in signal.coeffs)
     dps = 25 + (max(0, int(mp.ceil(mp.log10(scale)))) if scale else 0)
     noise = mpf(10) ** -dps * mp.fsum(abs(c) for c in signal.coeffs)
-    roots = _root_angles(signal, dps)
+    with mp.workdps(dps + 20):
+        intervals = _real_roots([signal.coeffs[0] / mp.sqrt(2)] + list(signal.coeffs[1:]),
+                                float(domain.measure) / grid_points)
+    with mp.workdps(dps):
+        roots = [sign * mp.acos(mpf((lo + hi, -1 - exp))) for lo, hi, exp in intervals
+                 for sign in (1, -1)]
     crossings = 0
     for lo, hi in domain.intervals:
         pts = max(2, int(round(grid_points * float((hi - lo) / domain.measure))))
@@ -189,112 +198,67 @@ def zero_crossings(signal: FourierCosineSignal, domain: Domain,
     return crossings
 
 
-def _root_angles(signal, dps):
-    """Angles +-acos(Re x) of the roots x of p, where f(t) = p(cos t).
+def _real_roots(a, step):
+    """Intervals [lo, hi] 2^-exp, as (lo, hi, exp), that hold every real root in
+    [-1, 1] of p = sum a_k T_k at mp.prec bits: points, or t = acos x images
+    below step.
 
-    p = sum a_k T_k with a_0 = A_0/sqrt(2), a_k = A_k (up to 1/sqrt(pi)); its
-    roots are the eigenvalues of the colleague matrix (Boyd, SIAM Rev. 55,
-    2013), whose rows are x T_0 = T_1, x T_k = (T_{k-1} + T_{k+1})/2; its
-    transpose is upper Hessenberg, for _hessenberg_eigenvalues.  Found 20
-    digits above the sampling digits dps, after dropping leading terms below
-    10^-dps of the largest, which sampling cannot see and which would blow
-    up the matrix.  Every root is kept, real or not: a spurious one costs
-    four samples.
+    On ints (fixed_rows), q(y) = p(2y - 1) goes to the monomial basis, and
+    Descartes' rule bisects [0, 1] (Collins and Akritas, SYMSAC 1976; Rouillier
+    and Zimmermann, J. Comput. Appl. Math. 162, 2004): the sign changes of
+    (1 + z)^d q_I(1/(1 + z)), q_I(z) q on the interval I for z in [0, 1], bound
+    the roots inside I and match their count mod 2.  None drops I; one
+    narrows it by the sign of q_I at dyadic midpoints (Horner on ints); more
+    split it into q_I(z/2) and q_I((z + 1)/2) until its t-image is below step,
+    which ends the recursion at a tangent or double root.  Roots at an end of
+    an interval, such as x = +-1, are kept as points.
     """
-    with mp.workdps(dps + 20):
-        a = [signal.coeffs[0] / mp.sqrt(2)] + list(signal.coeffs[1:])
-        floor = mpf(10) ** -dps * max(abs(c) for c in a)
-        while len(a) > 1 and abs(a[-1]) <= floor:
-            a.pop()
-        n = len(a) - 1
-        if n < 2:  # n = 1: the only row is x T_0 = T_1, without the 1/2
-            xs = [-a[0] / a[1]] if n else []
-        else:
-            h = [[mpf(0)] * n for _ in range(n)]
-            for i in range(n - 1):
-                h[i][i + 1] = h[i + 1][i] = mpf(1) / 2
-            h[1][0] = mpf(1)
-            for k in range(n):
-                h[k][n - 1] -= a[k] / (2 * a[n])
-            xs = _hessenberg_eigenvalues(h)
-        return [sign * mp.acos(min(1, max(-1, x))) for x in xs for sign in (1, -1)]
+    ints = fixed_rows([a], mp.prec)[0][0]
+    if not any(ints):
+        return []
+    q, t0, t1 = [0] * len(ints), [1], [-1, 2]
+    for ak in ints:  # q += a_k T_k(2y - 1), then T_k+2 = (4y - 2) T_k+1 - T_k
+        for i, v in enumerate(t0):
+            q[i] += ak * v
+        t0, t1 = t1, [4 * u - 2 * v - w for u, v, w in zip([0] + t1, t1 + [0], t0 + [0, 0])]
+    kept = [(1, 1, 0)] if not sum(q) else []
+    todo = [(q, 0, 0)]  # (q_I, c, k) for I = [c, c + 1] 2^-k
+    while todo:
+        q, c, k = todo.pop()
+        while not q[0]:  # a root at the left end; one at the right end is the
+            kept.append((c, c, k))  # next interval's left end, or x = 1
+            q = q[1:]
+        roots = count_sign_changes(_shift(q[::-1]))
+        if roots == 1:  # bisect on the sign of 2^(jd) q_I(m 2^-j) against q_I(0)'s
+            lo, j, d = 0, 0, len(q) - 1
+            while _t_width((c << j) + lo, k + j) >= step:
+                m, j, value = 2 * lo + 1, j + 1, 0
+                for i in range(d, -1, -1):
+                    value = value * m + (q[i] << j * (d - i))
+                lo = m if (value < 0) == (q[0] < 0) else m - 1  # a root at m stays an end
+            kept.append(((c << j) + lo, (c << j) + lo + 1, k + j))
+        elif roots and _t_width(c, k) < step:
+            kept.append((c, c + 1, k))
+        elif roots:
+            q = [v << len(q) - 1 - i for i, v in enumerate(q)]
+            todo += [(q, 2 * c, k + 1), (_shift(q), 2 * c + 1, k + 1)]
+    return [(2 * lo - (1 << exp), 2 * hi - (1 << exp), exp) for lo, hi, exp in kept]
 
 
-def _hessenberg_eigenvalues(h):
-    """Real parts of all eigenvalues of an upper Hessenberg h (rows of mpf).
+def _t_width(c, k):
+    """Length of the t-image of y in [c, c + 1] 2^-k, t = acos(2y - 1) =
+    2 atan2(sqrt(1 - y), sqrt(y)), which keeps its accuracy at y = 0 and 1."""
+    t = [2 * math.atan2(math.sqrt((1 << k) - y), math.sqrt(y)) for y in (c, c + 1)]
+    return t[0] - t[1]
 
-    Francis double-shift QR without vectors (EISPACK hqr: Martin, Peters and
-    Wilkinson, Numer. Math. 14, 1970; Golub and Van Loan, Alg. 7.5.2), run in
-    fixed point on Python ints: with p = mp.prec, every entry is an integer
-    multiple of the unit u = 2^-F ||h||_1 (||h||_1 the sum of all |h_ij|,
-    rounded up to a power of two), F = 2p + 64, which leaves G = p + 64 guard
-    bits below eps ||h||_1 for the small entries of a graded matrix.  A
-    product is (a b) >> F, a quotient (a << F) // b, and each reflector is
-    formed from (p, q, r) shifted up to at least F + 8 bits, so that a small
-    bulge keeps its direction.  h[l][l-1] deflates once it is at most
-    2^-p (|h[l-1][l-1]| + |h[l][l]|) or 2^G u = eps ||h||_1, the normwise
-    backward error of an mpf QR at precision p.  A complex pair gives its
-    real part twice; exceptional shifts come at sweeps 10 and 20.
-    """
-    n, prec = len(h), mp.prec
-    frac, floor = 2 * prec + 64, 1 << (prec + 64)
-    h, top = fixed_rows(h, frac)
-    values, shift, hi, its = [], 0, n - 1, 0
-    while hi >= 0:
-        l = hi  # h splits above row l where h[l][l-1] is below rounding
-        while l and abs(h[l][l - 1]) > max((abs(h[l - 1][l - 1]) + abs(h[l][l])) >> prec, floor):
-            l -= 1
-        if l:
-            h[l][l - 1] = 0
-        x = h[hi][hi]
-        # w = h[hi][hi-1] h[hi-1][hi] stays unshifted, in units of u^2
-        y, w = (h[hi - 1][hi - 1], h[hi][hi - 1] * h[hi - 1][hi]) if l < hi else (x, 0)
-        if l >= hi - 1:  # a 1x1 (w = 0, one value) or 2x2 block splits off
-            mean, root = ((x + y) >> 1) + shift, math.isqrt(max(((y - x) ** 2 >> 2) + w, 0))
-            values += [mean - root, mean + root][:hi - l + 1]
-            hi, its = l - 1, 0
-            continue
-        if its == 30 * n:
-            raise SolverFailure("no QR convergence on the %dx%d colleague matrix" % (n, n))
-        if its in (10, 20):
-            shift += x
-            for i in range(hi + 1):
-                h[i][i] -= x
-            s = abs(h[hi][hi - 1]) + abs(h[hi - 1][hi - 2])
-            x = y = 3 * s >> 2
-            w = -7 * s * s >> 4
-        its += 1
-        # first column of (h - s1)(h - s2) / h[l+1][l], s1 + s2 = x + y, s1 s2 = x y - w
-        z = h[l][l]
-        p = ((x - z) * (y - z) - w) // h[l + 1][l] + h[l][l + 1]
-        q, r = h[l + 1][l + 1] - x - y + z, h[l + 2][l + 1]
-        for k in range(l, hi):  # chase the bulge down with 3x3 reflectors
-            k2 = min(k + 2, hi)  # the last one is 2x2: r = 0
-            if k != l:
-                p, q, r = h[k][k - 1], h[k + 1][k - 1], h[k2][k - 1] if k2 > k + 1 else 0
-            bits = max(abs(p), abs(q), abs(r)).bit_length()
-            if not bits:  # p = q = r = 0: nothing to reflect
-                continue
-            up = max(0, frac + 8 - bits)
-            p, q, r = p << up, q << up, r << up
-            s = math.isqrt(p * p + q * q + r * r)
-            s = -s if p < 0 else s
-            if k != l:  # the reflector takes (p, q, r) to (-s, 0, 0)
-                h[k][k - 1], h[k + 1][k - 1], h[k2][k - 1] = -s >> up, 0, 0
-            p += s
-            x, y, z = (p << frac) // s, (q << frac) // s, (r << frac) // s
-            q, r = (q << frac) // p, (r << frac) // p
-            for j in range(k, hi + 1):
-                p = h[k][j] + ((q * h[k + 1][j] + r * h[k2][j]) >> frac)
-                h[k2][j] -= p * z >> frac
-                h[k + 1][j] -= p * y >> frac
-                h[k][j] -= p * x >> frac
-            for i in range(l, min(hi, k + 3) + 1):
-                p = (x * h[i][k] + y * h[i][k + 1] + z * h[i][k2]) >> frac
-                h[i][k2] -= p * r >> frac
-                h[i][k + 1] -= p * q >> frac
-                h[i][k] -= p
-    return [mp.ldexp(v, top - frac) for v in values]
+
+def _shift(a):
+    """Coefficients of a(z + 1) from those of a(z), lowest degree first."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
 
 
 def count_sign_changes(values):

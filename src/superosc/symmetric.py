@@ -49,11 +49,12 @@ def eigensystem(rows, max_iterations):
     """Ascending eigenvalues and unit eigenvectors (lists) of symmetric rows,
     or SolverFailure once one eigenvalue takes more than max_iterations QL steps.
 
-    As in analysis._hessenberg_eigenvalues, with p = mp.prec every entry is an
-    integer multiple of u = 2^-F ||A||_1 (the sum of all |a_ij|, rounded up to
-    a power of two), F = 2p + 64; unit vectors carry F fraction bits.  A
-    Householder tridiagonalization (Martin, Reinsch & Wilkinson, 1968) from
-    the last row up, without Q, leaves z_last T's own.  e_m is negligible at
+    With p = mp.prec every entry is an integer multiple of u = 2^-F ||A||_1
+    (the sum of all |a_ij|, rounded up to a power of two), F = 2p + 64, which
+    leaves p + 64 guard bits below eps ||A||_1 for the small entries of a
+    graded matrix; unit vectors carry F fraction bits.  A Householder
+    tridiagonalization (Martin, Reinsch & Wilkinson, 1968) from the last row
+    up, without Q, leaves z_last T's own.  e_m is negligible at
     max(2^-(p+8) (|d_m| + |d_m+1|), 2^(p+56) u), eight bits below eps ||A||_1:
     implicit QL (EISPACK imtql2) deflates there, each rotation's (f, g)
     shifted up to F + 8 bits before s and c are formed, and applies each

@@ -75,6 +75,21 @@ def grid_crossings(signal, domain, grid_points):
     return changes
 
 
+def chebyshev_roots(a, dps):
+    """Every root of p = sum a_k T_k, complex ones included, by mp.polyroots
+    at 2 dps digits on p's monomial coefficients (T_k+2 = 2x T_k+1 - T_k).
+    The package isolates real roots on ints and roots no polynomial."""
+    with mp.workdps(2 * dps):
+        p, t0, t1 = [mpf(0)] * len(a), [mpf(1)], [mpf(0), mpf(1)]
+        for ak in a:
+            for i, v in enumerate(t0):
+                p[i] += ak * v
+            t0, t1 = t1, [2 * u - v for u, v in zip([0] + t1, t0 + [0, 0])]
+        while not p[-1]:
+            p.pop()
+        return mp.polyroots(p[::-1], maxsteps=400, extraprec=8 * mp.prec)
+
+
 def gauss_legendre(count, prec):
     """Gauss-Legendre (node, weight) pairs by Newton iteration in mpf only.
 

@@ -1,7 +1,6 @@
 """Tests for yields, crossing counts, and sweeps."""
 
 import pathlib
-import random
 import re
 
 import pytest
@@ -26,12 +25,11 @@ from superosc import (
 from superosc import analysis
 from superosc.analysis import (
     _gauss_legendre,
-    _hessenberg_eigenvalues,
     _node_count,
     count_sign_changes,
 )
 
-from oracles import gauss_legendre, grid_crossings
+from oracles import chebyshev_roots, gauss_legendre, grid_crossings
 
 CTX = Context(15)
 CTX30 = Context(30)
@@ -229,114 +227,99 @@ class TestEvenQuadrature:
         assert sizes == [(count + 1) // 2 if lo == -hi else count]
 
 
-def colleague(a):
-    """Transposed colleague matrix of sum a_k T_k as rows of mpf."""
-    n = len(a) - 1
-    if n == 1:
-        return [[-a[0] / a[1]]]
-    h = [[mpf(0)] * n for _ in range(n)]
-    for i in range(n - 1):
-        h[i][i + 1] = h[i + 1][i] = mpf(1) / 2
-    h[1][0] = mpf(1)
-    for k in range(n):
-        h[k][n - 1] -= a[k] / (2 * a[n])
-    return h
+def chebyshev_times_root(a, root):
+    """Chebyshev coefficients of (x - root) p for p = sum a_k T_k:
+    x T_0 = T_1 and x T_k = (T_k-1 + T_k+1)/2."""
+    out = [-root * ak for ak in a] + [mpf(0)]
+    for k, ak in enumerate(a):
+        if k == 0:
+            out[1] += ak
+        else:
+            out[k - 1] += ak / 2
+            out[k + 1] += ak / 2
+    return out
 
 
-class TestHessenbergEigenvalues:
-    @given(st.integers(1, 20), st.integers(30, 80), st.integers(0, 2 ** 32 - 1),
-           st.one_of(st.just(0), st.integers(5, 20)))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_general_eigensolver(self, degree, dps, seed, grade):
-        # uniform random coefficients: the roots are simple with probability
-        # 1; a leading coefficient times 10^-grade grades the last column up
-        # to 10^grade, which the fixed-point unit must resolve beside the 1/2s
-        rng = random.Random(seed)
+class TestRealRoots:
+    """analysis._real_roots, the integer real-root isolator behind the
+    crossing count, against mp.polyroots at twice the digits."""
+
+    @pytest.mark.parametrize("roots, pairs", [
+        # simple roots, two 1e-6 apart, and two outside [-1, 1]
+        ([mpf("0.1"), mpf("-0.37"), mpf("0.5"), mpf("0.5") + mpf("1e-6"),
+          mpf("0.93"), mpf("-0.999"), mpf("1.5"), mpf(-3)], []),
+        # double roots at x = -1, 0 and 1, with simple ones beside them; the
+        # coefficients are exact in binary, so rounding them to ints keeps
+        # the double roots double
+        ([mpf(-1), mpf(-1), mpf(0), mpf(0), mpf(1), mpf(1),
+          mpf("0.6875"), mpf("-0.1875")], []),
+        # a double root off the dyadics: rounded to ints it is a close pair, real
+        # or not, kept where its interval's t-image falls below the step
+        ([mpf("0.3"), mpf("0.3"), mpf("-0.55")], []),
+        # conjugate pairs 1e-8 off the axis, over the real line and near x = +-1
+        ([mpf("0.25"), mpf("-0.6")], [mpf("0.3"), mpf("-0.71"), mpf("0.9999")]),
+    ], ids=["simple", "double", "tangent", "complex-pairs"])
+    @pytest.mark.parametrize("dps", [30, 60])
+    def test_kept_intervals_match_real_roots(self, roots, pairs, dps):
+        step = 1e-10  # far below the pairs' 1e-8, so Descartes' rule drops them
         with mp.workdps(dps):
-            a = [mpf(rng.uniform(-1, 1)) for _ in range(degree + 1)]
-            a[-1] *= mpf(10) ** -grade
-            h = colleague(a)
-            scale = max(abs(x) for row in h for x in row)
-            # mp.eig wraps the eigenvalue of a 1x1 matrix in a list
-            expected = [h[0][0]] if degree == 1 else \
-                sorted(mp.re(x) for x in mp.eig(mp.matrix(h), left=False, right=False))
-            got = sorted(_hessenberg_eigenvalues([row[:] for row in h]))
-            assert len(got) == degree
-            assert max(abs(x - y) for x, y in zip(got, expected)) <= \
-                mpf(10) ** (10 - dps) * scale
+            a = [mpf(1)]
+            for root in roots:
+                a = chebyshev_times_root(a, root)
+            for mid in pairs:  # times (x - mid)^2 + 1e-16
+                square = chebyshev_times_root(chebyshev_times_root(a, mid), mid)
+                a = [u + mpf("1e-16") * v for u, v in zip(square, a + [0, 0])]
+            kept = analysis._real_roots(a, step)
+        with mp.workdps(2 * dps):
+            tol = mpf(10) ** (5 - dps // 2)
+            real = [mp.re(z) for z in chebyshev_roots(a, dps) if abs(mp.im(z)) <= tol]
+            intervals = [(mpf((lo, -exp)), mpf((hi, -exp))) for lo, hi, exp in kept]
+            # every kept interval holds a real root: none is kept for a pair
+            for lo, hi in intervals:
+                assert any(lo - tol <= x <= hi + tol for x in real), (lo, hi)
+            # and no real root in [-1, 1] is missed
+            for x in real:
+                if -1 - tol <= x <= 1 + tol:
+                    assert any(lo - tol <= x <= hi + tol for lo, hi in intervals), x
 
-    def test_complex_pair(self):
-        # real parts, twice for a pair: 2x^2 + 1 = T_2 + 2 T_0 has roots
-        # +-i/sqrt(2); 1 +- i sqrt 2 splits off as a 2x2 block; (x - 2)(x^2 + 1)
-        # needs sweeps to split its pair +-i off
-        with mp.workdps(40):
-            assert _hessenberg_eigenvalues(colleague([mpf(2), mpf(0), mpf(1)])) == [0, 0]
-            assert _hessenberg_eigenvalues([[mpf(1), mpf(-2)], [mpf(1), mpf(1)]]) == [1, 1]
-            h = [[mpf(2), mpf(-1), mpf(2)], [mpf(1), mpf(0), mpf(0)], [mpf(0), mpf(1), mpf(0)]]
-            got = sorted(_hessenberg_eigenvalues(h))
-            for x, y in zip(got, [0, 0, 2]):
-                assert abs(x - y) < mpf(10) ** -38
+    def test_t_width_holds_at_both_ends(self):
+        # the stop test's float width of acos(2y - 1) over [c, c + 1] 2^-k,
+        # where acos of a float x within 2^-53 of 1 reads 0
+        with mp.workdps(60):
+            for c, k in ((0, 80), ((1 << 80) - 1, 80), (1, 60), ((1 << 60) - 2, 60),
+                         (3 << 28, 30), (12345, 20)):
+                exact = mp.acos(mpf((2 * c, -k)) - 1) - mp.acos(mpf((2 * c + 2, -k)) - 1)
+                assert abs(analysis._t_width(c, k) - exact) <= 1e-15 + 1e-14 * exact
 
-    def test_zero_matrix(self):
-        # ||h||_1 = 0 sets no unit of its own; every value is exactly 0
-        with mp.workdps(40):
-            for n in range(1, 7):
-                assert _hessenberg_eigenvalues([[mpf(0)] * n for _ in range(n)]) == [0] * n
-
-    def test_sweeps_do_no_mpf_arithmetic(self, monkeypatch):
-        # the sweeps run on ints: only converting the n^2 entries in (and
-        # their sum |h_ij|) and the n values out may touch mpf, and none of
-        # those is an mpf operator
-        calls = []
+    def test_isolation_does_no_mpf_arithmetic(self, monkeypatch):
+        # between the coefficients' conversion to ints and the acos of the
+        # kept intervals the isolator works on ints: no mpf operator runs
+        phase, calls = ["convert"], []
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                      "__truediv__", "__rtruediv__", "__pow__", "__abs__", "__neg__"):
             method = getattr(mp.mpf, name)
             monkeypatch.setattr(mp.mpf, name, lambda *a, _m=method, _n=name:
-                                calls.append(_n) or _m(*a))
-        with mp.workdps(125):
-            rng = random.Random(1401)
-            h = colleague([mpf(rng.uniform(-1, 1)) for _ in range(11)])
-            calls.clear()
-            values = _hessenberg_eigenvalues(h)
-            assert calls == []
-            assert len(values) == 10  # the real parts sum to the trace
-            assert abs(mp.fsum(values) - mp.fsum(h[i][i] for i in range(10))) \
-                <= mpf(10) ** -100 * mp.fsum((x for row in h for x in row), absolute=True)
-            assert calls  # the guard sees the operators the check above used
+                                calls.append((phase[0], _n)) or _m(*a))
+        to_ints, acos = analysis.fixed_rows, mp.acos
 
-    def test_spectrum_report_crossings(self):
-        # the benchmark's spectrum report at the CLI's 10^4 points per unit
+        def convert(*args):
+            ints = to_ints(*args)
+            phase[0] = "ints"
+            return ints
+
+        monkeypatch.setattr(analysis, "fixed_rows", convert)
+        monkeypatch.setattr(mp, "acos", lambda x: phase.__setitem__(0, "acos") or acos(x))
         domain = symmetrize_domain("0.5", "1")
-        result = design_spectrum(10, 9, domain, Context(100))
-        assert [zero_crossings(sig, domain, 10000)
-                for sig in result.spectrum.signals] == [20, 18, 16]
-
-    def test_double_root_at_minus_one(self):
-        # (1 + cos t)^2 cos t = x (1 + x)^2 = T_0 + 7/4 T_1 + T_2 + 1/4 T_3
-        with mp.workdps(50):
-            a = [mpf(1), mpf(7) / 4, mpf(1), mpf(1) / 4]
-            got = sorted(_hessenberg_eigenvalues(colleague(a)))
-            assert abs(got[0] + 1) < mpf(10) ** -20 and abs(got[1] + 1) < mpf(10) ** -20
-            assert abs(got[2]) < mpf(10) ** -45
-
-    def test_orders_one_and_two(self):
-        with mp.workdps(30):
-            assert _hessenberg_eigenvalues([[mpf(3)]]) == [3]
-            got = sorted(_hessenberg_eigenvalues([[mpf(1), mpf(2)], [mpf(3), mpf(4)]]))
-            for x, y in zip(got, [(5 - mp.sqrt(33)) / 2, (5 + mp.sqrt(33)) / 2]):
-                assert abs(x - y) < mpf(10) ** -28
-
-    def test_cyclic_permutation_converges(self):
-        # the cube roots of unity: the QR deflates only after the exceptional
-        # shift at sweep 10
-        with mp.workdps(30):
-            h = [[mpf(0), mpf(0), mpf(1)], [mpf(1), mpf(0), mpf(0)], [mpf(0), mpf(1), mpf(0)]]
-            got = sorted(_hessenberg_eigenvalues(h))
-            for x, y in zip(got, [mpf(-1) / 2, mpf(-1) / 2, mpf(1)]):
-                assert abs(x - y) < mpf(10) ** -28
+        signal = design_spectrum(10, 6, domain, Context(60)).optimal_signal
+        calls.clear()
+        assert zero_crossings(signal, domain, 10000) == \
+            grid_crossings(signal, domain, 10000)
+        assert [name for stage, name in calls if stage == "ints"] == []
+        # the guard sees the operators before the conversion and after acos
+        assert {stage for stage, _ in calls} == {"convert", "acos"}
 
     def test_no_general_eigensolver_in_package(self):
-        # roots come from the real Hessenberg QR; mp.eig stays a test oracle
+        # real roots come from Descartes' rule on ints; mp.eig stays a test oracle
         package = pathlib.Path(superosc.__file__).parent
         sites = [(path.name, lineno)
                  for path in sorted(package.glob("*.py"))
@@ -420,8 +403,8 @@ class TestZeroCrossings:
         ((1, -2, 0, 0), 2),            # trailing zeros: degree 1 in cos t
         ((0, 0, 0, 1, 0, 0), 6),       # cos(3t) padded to N=5
         ((0, 0, 0, 0, 0, 1, 1e-190), 10),  # a leading term sampling cannot see
-        # a leading term sampling can see: the colleague matrix has an entry
-        # of 1e21, and one of its eigenvalues takes 32 QR sweeps
+        # a leading term sampling can see: 2e-21 T_10 beside 4 T_1 puts nine
+        # roots of p far outside [-1, 1], where the isolator never looks
         ((0, 4) + (0,) * 8 + (2.0691250751490239e-21,), 2),
     ])
     def test_degenerate_series(self, coeffs, expected):
@@ -483,6 +466,27 @@ class TestZeroCrossings:
         sig = harmonic_signal(2, 1, mpf(1))
         with pytest.raises(ValueError):
             zero_crossings(sig, symmetrize_domain(0, 1), 999)
+
+    def test_spectrum_report_crossings(self):
+        # the benchmark's spectrum report at the CLI's 10^4 points per unit
+        domain = symmetrize_domain("0.5", "1")
+        result = design_spectrum(10, 9, domain, Context(100))
+        assert [zero_crossings(sig, domain, 10000)
+                for sig in result.spectrum.signals] == [20, 18, 16]
+
+    def test_double_root_at_minus_one(self):
+        # (1 + cos t)^2 cos t = x (1 + x)^2 = T_0 + 7/4 T_1 + T_2 + 1/4 T_3
+        # touches zero at t = +-pi, the ends of (-pi, pi); rounded to ints,
+        # the double root at x = -1 is a close pair, real or complex, and
+        # either way the count is the grid's
+        with CTX.workprec():
+            signal = FourierCosineSignal(band_limit=3, coeffs=(
+                mp.sqrt(2 * mp.pi), mpf(7) / 4 * mp.sqrt(mp.pi), mp.sqrt(mp.pi),
+                mp.sqrt(mp.pi) / 4))
+        domain = Domain(((-mp.pi, mp.pi),))
+        for grid_points in (1000, 1001, 3001, 4097):
+            assert zero_crossings(signal, domain, grid_points) == \
+                grid_crossings(signal, domain, grid_points) == 2
 
 
 class TestScalingSweep:

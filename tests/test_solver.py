@@ -576,15 +576,10 @@ class TestEigensystem:
             a[0, 3] = a[3, 0] = mpf("-1e-95")  # tiny and negative
             a[1, 2] = a[2, 1] = mpf(0)
             coeffs = [mpf(rng.uniform(-1, 1)) for _ in range(8)] + [mpf(0), mpf("1e-90")]
-            h = [[mpf(0)] * 10 for _ in range(10)]
-            for i in range(9):
-                h[i][i + 1] = h[i + 1][i] = mpf(1) / 2
-            for k in range(10):
-                h[k][9] -= coeffs[k] / 2
-            outputs = [solver._eigensystem(a.tolist()), analysis._hessenberg_eigenvalues(h)]
+            outputs = [solver._eigensystem(a.tolist()), analysis._real_roots(coeffs, 1e-6)]
             monkeypatch.setattr(symmetric, "fixed", lambda x, shift: int(mp.ldexp(x, shift)))
             assert [solver._eigensystem(a.tolist()),
-                    analysis._hessenberg_eigenvalues(h)] == outputs
+                    analysis._real_roots(coeffs, 1e-6)] == outputs
 
     @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
     def test_imports_nothing_from_mpmath_matrices(self, path):
