@@ -48,35 +48,39 @@ def build_parser():
     for name, fn in (("design", cmd_design), ("spectrum", cmd_spectrum),
                      ("baseline", cmd_baseline), ("sweep", cmd_sweep)):
         p = sub.add_parser(name)
-        _common_flags(p, with_method=name != "sweep")
-        if name == "sweep":
-            p.add_argument("--a-values", help="comma-separated interval radii")
-            p.add_argument("--m-values", help="comma-separated constraint counts")
+        _common_flags(p, name)
         p.set_defaults(handler=fn)
     return parser
 
 
-def _common_flags(p, with_method):
+def _common_flags(p, name):
+    """The flags that change the named subcommand's document, and no others."""
     p.add_argument("--band-limit", "-n", type=int, required=True)
     p.add_argument("--constraints", "-m", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--interval", metavar="A",
                        help="symmetric interval (-A, A)")
-    group.add_argument("--annulus", nargs=2, metavar=("A", "B"),
-                       help="symmetric pair (-B,-A) u (A,B)")
-    group.add_argument("--domain", metavar="SPEC",
-                       help="general domain 'lo,hi;lo,hi' in radians; write "
-                            "--domain=SPEC when it starts with a minus sign")
+    if name == "sweep":  # a radius grid, or a count grid on (-A, A)
+        group.add_argument("--a-values", help="comma-separated interval radii")
+        p.add_argument("--m-values", help="comma-separated constraint counts")
+    else:
+        group.add_argument("--annulus", nargs=2, metavar=("A", "B"),
+                           help="symmetric pair (-B,-A) u (A,B)")
+        group.add_argument("--domain", metavar="SPEC",
+                           help="general domain 'lo,hi;lo,hi' in radians; write "
+                                "--domain=SPEC when it starts with a minus sign")
     p.add_argument("--precision", type=int, default=15,
                    help="significant decimal digits (default 15)")
-    if with_method:  # sweeps always solve with secular
-        p.add_argument("--method", choices=METHODS + ("both",), default="secular")
+    if name != "sweep":  # sweeps always solve with secular
+        both = ("both",) if name == "spectrum" else ()  # only spectrum reports Jacobi's
+        p.add_argument("--method", choices=METHODS + both, default="secular")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted and echoed; no number depends on it")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--samples", type=_sample_count, default=0,
-                   help="points per exported sample series, 0 or at least 2 "
-                        "(0: none, or 1001 for design)")
+    if name in ("design", "spectrum"):  # the documents with series; the others echo 0
+        p.add_argument("--samples", type=_sample_count, default=0,
+                       help="points per exported sample series, 0 or at least 2 "
+                            "(0: none, or 1001 for design)")
     p.add_argument("--out", help="output path (default stdout)")
 
 
@@ -92,9 +96,7 @@ def _domain_from_args(args):
         return symmetrize_domain(0, mpf(args.interval))
     if args.annulus is not None:
         return symmetrize_domain(mpf(args.annulus[0]), mpf(args.annulus[1]))
-    if args.domain is not None:
-        return parse_domain_spec(args.domain)
-    raise ValueError("one of --interval, --annulus, --domain is required")
+    return parse_domain_spec(args.domain)
 
 
 def _solve(args, ctx):
@@ -116,7 +118,7 @@ def _config_echo(args, ctx, domain=None):
     echo["precision_digits"] = ctx.digits
     if "method" in args:
         echo["method"] = args.method
-    echo.update(seed=args.seed, format=args.format, samples=args.samples)
+    echo.update(seed=args.seed, format=args.format, samples=getattr(args, "samples", 0))
     return echo
 
 
@@ -252,8 +254,8 @@ def cmd_baseline(args, ctx):
 
 def cmd_sweep(args, ctx):
     if bool(args.a_values) == bool(args.m_values):
-        raise ValueError("sweep needs exactly one of --a-values or --m-values")
-    domain = None
+        raise ValueError("sweep takes --a-values alone, or --interval with --m-values")
+    domain = None if args.a_values else symmetrize_domain(0, mpf(args.interval))
     if args.a_values:
         radii = [mpf(s) for s in args.a_values.split(",")]
         table = scaling_sweep(args.band_limit, args.constraints, radii, ctx,
@@ -261,9 +263,6 @@ def cmd_sweep(args, ctx):
         grid = {"kind": "interval_radius",
                 "values": [ctx.to_decimal(a) for a in radii]}
     else:
-        domain = _domain_from_args(args)
-        if len(domain.intervals) != 1 or domain.intervals[0][0] != -domain.intervals[0][1]:
-            raise ValueError("constraint-count sweep expects --interval A")
         ms = [int(s) for s in args.m_values.split(",")]
         table = monotonicity_table(args.band_limit, domain.intervals[0][1], ms,
                                    ctx, seed=args.seed)
@@ -328,11 +327,6 @@ def write_output(doc, args):
                     writer.writerow(row)
 
 
-def parse_document(text):
-    """Inverse of render_json; numbers stay decimal strings (lossless)."""
-    return json.loads(text)
-
-
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
@@ -340,6 +334,11 @@ def main(argv=None):
         return exc.code
     started = time.monotonic()
     try:
+        # CSV has no jacobi column, and writes sample series only beside --out
+        if args.format == "csv" and getattr(args, "method", None) == "both":
+            raise ValueError("--format csv has no column for --method both; use --format json")
+        if args.format == "csv" and getattr(args, "samples", 0) and not args.out:
+            raise ValueError("--format csv writes --samples series only beside --out")
         ctx = Context(digits=args.precision)
         doc = args.handler(args, ctx)
         write_output(doc, args)

@@ -8,7 +8,7 @@ from mpmath import mp, mpf
 from superosc import (Context, cli, design_spectrum, sample, solver, symmetrize_domain,
                       zero_crossings)
 from superosc import design as design_module
-from superosc.cli import main, parse_document, render_json
+from superosc.cli import main, render_json
 
 
 def significant_digits(decimal):
@@ -30,7 +30,7 @@ class TestDesign:
             "--samples", "33",
         )
         assert code == 0
-        doc = parse_document(text)
+        doc = json.loads(text)
         assert doc["config"]["band_limit"] == 6
         assert doc["mode"]["index"] == 5  # N+2-M modes, top is last
         assert len(doc["mode"]["coefficients"]) == 7
@@ -65,13 +65,13 @@ class TestDesign:
         assert "precision" in err and "reduce_rank" in err
         code, text = run_cli(tmp_path, *argv, "--precision", "100")
         assert code == 0
-        assert parse_document(text)["mode"]["index"] == 6
+        assert json.loads(text)["mode"]["index"] == 6
 
     def test_saturated_constraints_single_mode(self, tmp_path):
         code, text = run_cli(tmp_path, "design", "-n", "2", "-m", "3",
                              "--interval", "1")
         assert code == 0
-        doc = parse_document(text)
+        doc = json.loads(text)
         assert doc["mode"]["index"] == 1
 
     def test_log_magnitude_dips_inside_domain(self, tmp_path):
@@ -83,7 +83,7 @@ class TestDesign:
             "--precision", "20", "--samples", "801",
         )
         assert code == 0
-        doc = parse_document(text)
+        doc = json.loads(text)
         series = doc["series"]["full_period"]
         inside, outside = [], []
         for t, log_mag in zip(series["t"], series["log10_abs_f"]):
@@ -109,7 +109,7 @@ class TestSpectrum:
         code, text = run_cli(tmp_path, "spectrum", "-n", "7", "-m", "4",
                              "--interval", "1.2")
         assert code == 0
-        doc = parse_document(text)
+        doc = json.loads(text)
         assert doc["count"] == 5
         values = [mpf(s) for s in doc["eigenvalues"]]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -119,7 +119,7 @@ class TestSpectrum:
                              "--interval", "1", "--method", "both",
                              "--precision", "40")
         assert code == 0
-        doc = parse_document(text)
+        doc = json.loads(text)
         assert len(doc["method_relative_deltas"]) == 5
         assert all(mpf(d) < mpf("1e-6") for d in doc["method_relative_deltas"])
 
@@ -137,7 +137,7 @@ class TestSpectrum:
                              "--precision", "40")
         assert code == 0
         assert calls == ["secular"]
-        assert len(parse_document(text)["jacobi_eigenvalues"]) == 5
+        assert len(json.loads(text)["jacobi_eigenvalues"]) == 5
 
     def test_crossings_on_the_library_grid(self, tmp_path):
         code, text = run_cli(tmp_path, "spectrum", "-n", "5", "-m", "3",
@@ -145,7 +145,7 @@ class TestSpectrum:
         assert code == 0
         result = design_spectrum(5, 3, symmetrize_domain("0.5", "1"), Context(15))
         expected = [zero_crossings(sig, result.domain) for sig in result.spectrum.signals]
-        assert [mode["crossings"] for mode in parse_document(text)["modes"]] == expected
+        assert [mode["crossings"] for mode in json.loads(text)["modes"]] == expected
 
     def test_negative_domain_needs_equals_form(self, tmp_path, capsys):
         spec = "-2.5,-1.5;0.5,1.7"
@@ -155,14 +155,14 @@ class TestSpectrum:
         code, text = run_cli(tmp_path, "spectrum", "-n", "6", "-m", "3",
                              "--domain=" + spec, "--precision", "30")
         assert code == 0
-        echo = parse_document(text)["config"]["domain"]
+        echo = json.loads(text)["config"]["domain"]
         assert [[float(lo), float(hi)] for lo, hi in echo] == [[-2.5, -1.5], [0.5, 1.7]]
 
     def test_annulus_flag(self, tmp_path):
         code, text = run_cli(tmp_path, "spectrum", "-n", "5", "-m", "3",
                              "--annulus", "0.5", "1")
         assert code == 0
-        doc = parse_document(text)
+        doc = json.loads(text)
         assert len(doc["config"]["domain"]) == 2
 
     @pytest.mark.parametrize("argv, header, rows", [
@@ -275,6 +275,54 @@ class TestArguments:
         assert (code, text) == (2, "")
         assert "argument --samples: must be 0 or at least 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        "baseline -n 6 -m 3 --interval 1 --samples 50",
+        "sweep -n 5 -m 3 --a-values 0.4,0.2 --samples 9",
+        "design -n 6 -m 3 --interval 1 --method both",
+        "baseline -n 6 -m 3 --interval 1 --method both",
+        "sweep -n 5 -m 3 --a-values 0.4,0.2 --interval 2",
+        "sweep -n 5 -m 3 --annulus 0.2 0.5 --m-values 2,3",
+        "sweep -n 5 -m 3 --domain=-0.5,0.5 --m-values 2,3",
+    ], ids=["baseline-samples", "sweep-samples", "design-both", "baseline-both",
+            "radius-sweep-interval", "sweep-annulus", "sweep-domain"])
+    def test_flags_that_change_nothing_exit_2_at_parsing(self, tmp_path, capsys,
+                                                         monkeypatch, argv):
+        # each flag is one the subcommand's document would ignore
+        for name in ("design_spectrum", "scaling_sweep", "monotonicity_table"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("solved"))
+        out = tmp_path / "doc.out"
+        assert main(argv.split() + ["--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: superosc")  # argparse's refusal
+
+    @pytest.mark.parametrize("command", ["design", "spectrum"])
+    def test_csv_samples_need_out(self, capsys, monkeypatch, command):
+        # CSV writes sample series only to <out>_series_<key>.csv files
+        argv = [command, "-n", "6", "-m", "3", "--interval", "1", "--format", "csv"]
+        assert main(argv) == 0  # no --samples asks for a series
+        assert capsys.readouterr().out.startswith("index,eigenvalue,")
+        monkeypatch.setattr(cli, "design_spectrum",
+                            lambda *a, **k: pytest.fail("solved before refusing"))
+        code = main(argv + ["--samples", "9"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "error: --format csv writes --samples series only beside --out" in captured.err
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_csv_refuses_method_both(self, tmp_path, capsys, monkeypatch, to_file):
+        # the CSV table has no column for the jacobi eigenvalues
+        monkeypatch.setattr(cli, "design_spectrum",
+                            lambda *a, **k: pytest.fail("solved before refusing"))
+        argv = ["spectrum", "-n", "6", "-m", "3", "--interval", "1",
+                "--method", "both", "--format", "csv"]
+        code = main(argv + (["--out", str(tmp_path / "spec.csv")] if to_file else []))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert list(tmp_path.iterdir()) == []
+        assert "error: --format csv has no column for --method both" in captured.err
+
     def test_help_returns_0(self, capsys):
         assert main(["spectrum", "--help"]) == 0
         assert "--method" in capsys.readouterr().out
@@ -285,7 +333,7 @@ class TestBaseline:
         code, text = run_cli(tmp_path, "baseline", "-n", "6", "-m", "3",
                              "--interval", "1")
         assert code == 0
-        doc = parse_document(text)
+        doc = json.loads(text)
         fk = doc["fk_minimum_energy"]
         assert fk["energy"] == fk["mu_tilde_norm_sq"]
         assert doc["slepian"]["count"] == 7
@@ -306,7 +354,7 @@ class TestBaseline:
                 design_module, name), _name=name: solves.append(_name) or _solve(*args))
         argv = ["baseline", "-n", "6", "-m", "3", "--interval", "1",
                 "--precision", "30"]
-        secular = parse_document(run_cli(tmp_path, *argv)[1])
+        secular = json.loads(run_cli(tmp_path, *argv)[1])
         assert solves == ["secular_spectrum"]
         solves.clear()
         monkeypatch.setattr(cli, "design_spectrum", counting_design)
@@ -314,7 +362,7 @@ class TestBaseline:
         assert code == 0
         assert calls == ["jacobi"]
         assert solves == ["jacobi_spectrum"]
-        jacobi = parse_document(text)
+        jacobi = json.loads(text)
         assert jacobi["config"]["method"] == "jacobi"
         # the two solvers may round the top eigenvalue alike, so it may agree
         assert {k for k in secular if secular[k] != jacobi[k]} <= {
@@ -328,7 +376,7 @@ class TestSweep:
         code, text = run_cli(tmp_path, "sweep", "-n", "5", "-m", "3",
                              "--a-values", "0.4,0.2", "--precision", "30")
         assert code == 0
-        doc = parse_document(text)
+        doc = json.loads(text)
         assert doc["grid"]["kind"] == "interval_radius"
         assert len(doc["rows"]) == 8  # two radii x (N+2-M)
         assert set(doc["slopes"]) == {"1", "2", "3", "4"}
@@ -337,7 +385,7 @@ class TestSweep:
         code, text = run_cli(tmp_path, "sweep", "-n", "6", "-m", "3",
                              "--interval", "0.5", "--m-values", "2,3")
         assert code == 0
-        doc = parse_document(text)
+        doc = json.loads(text)
         assert doc["grid"]["kind"] == "constraint_count"
         assert {r["key"] for r in doc["rows"]} == {2, 3}
 
@@ -345,7 +393,7 @@ class TestSweep:
         code, text = run_cli(tmp_path, "sweep", "-n", "10", "-m", "1",
                              "--interval", "0.015625", "--m-values", "3,6")
         assert code == 0
-        assert set(parse_document(text)["errors"]) == {"3", "6"}
+        assert set(json.loads(text)["errors"]) == {"3", "6"}
 
     def test_no_method_option(self, tmp_path, capsys):
         # sweeps always solve with secular: no --method, and none echoed
@@ -357,7 +405,7 @@ class TestSweep:
         code, text = run_cli(tmp_path, "sweep", "-n", "5", "-m", "3",
                              "--a-values", "0.4,0.2", "--precision", "30")
         assert code == 0
-        assert "method" not in parse_document(text)["config"]
+        assert "method" not in json.loads(text)["config"]
 
     def test_needs_exactly_one_grid(self, tmp_path):
         code, _ = run_cli(tmp_path, "sweep", "-n", "5", "-m", "3")
@@ -401,5 +449,5 @@ class TestDeterminism:
         code, text = run_cli(tmp_path, "design", "-n", "4", "-m", "2",
                              "--interval", "0.8")
         assert code == 0
-        doc = parse_document(text)
+        doc = json.loads(text)
         assert render_json(doc) == text

@@ -54,6 +54,21 @@ class TestAlternating:
             alternating_constraints(0, 1, 0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ConstraintSet(points=(0, 1), values=(1,)), "equal length"),
+    (lambda: ConstraintSet(points=(), values=()), "at least one constraint"),
+    (lambda: ConstraintSet(points=(0.5, 0.5), values=(1, -1)), "pairwise distinct"),
+    (lambda: alternating_constraints(1, 1, 3), "need lo < hi"),
+    (lambda: alternating_constraints(1, 0, 3), "need lo < hi"),
+    (lambda: constraint_matrix(alternating_constraints(0, 1, 2), 0, CTX),
+     "band limit must be >= 1"),
+], ids=["unequal-lengths", "no-points", "repeated-point", "empty-interval",
+        "reversed-interval", "band-limit-0"])
+def test_invalid_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestConstraintMatrix:
     def test_row_at_origin(self):
         cs = alternating_constraints(0, 1, 1)

@@ -28,6 +28,11 @@ class TestContext:
 
 
 class TestDecimalRoundTrip:
+    @pytest.mark.parametrize("value", [3, -2, 0.5, 1e-300])
+    def test_non_mpf_serializes_as_its_mpf(self, value):
+        ctx = Context(30)
+        assert ctx.to_decimal(value) == ctx.to_decimal(mpf(value))
+
     @given(st.floats(allow_nan=False, allow_infinity=False,
                      min_value=-1e200, max_value=1e200))
     @settings(max_examples=50, deadline=None)

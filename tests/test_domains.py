@@ -75,6 +75,22 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_domain_spec("1;2;3")
 
+    def test_empty_parts_skipped(self):
+        assert parse_domain_spec("0,1;") == parse_domain_spec(" ; 0,1") == Domain(((0, 1),))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Domain(()), "at least one interval"),
+    (lambda: symmetrize_domain(0, 4), "outer radius exceeds pi"),
+    (lambda: symmetrize_domain("0.5", mp.pi + mpf("1e-10")), "outer radius exceeds pi"),
+    (lambda: parse_domain_spec(""), "empty domain spec"),
+    (lambda: parse_domain_spec(" ; "), "empty domain spec"),
+], ids=["no-intervals", "interval-above-pi", "annulus-above-pi", "empty-spec",
+        "blank-parts"])
+def test_invalid_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
 
 class TestOverlapMatrix:
     def test_full_period_gives_identity(self):

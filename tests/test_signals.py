@@ -226,6 +226,11 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(make_signal([1, 1]), 0, 1, 1, CTX)
 
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, "0.5"), ("0.1", "0.1")])
+    def test_empty_or_reversed_range_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            sample(make_signal([1, 1]), lo, hi, 5, CTX)
+
     def test_values_are_evaluate_bit_for_bit(self):
         # sample shares one precision context across its points; each value
         # must still be exactly what evaluate gives at that point

@@ -436,6 +436,28 @@ class TestDegenerateFailure:
         with pytest.raises(SolverFailure):
             secular_spectrum(delta, frame, CTX)
 
+    @pytest.mark.parametrize("solve", [secular_spectrum, jacobi_spectrum],
+                             ids=["secular", "jacobi"])
+    def test_repeated_eigenvalue_raises(self, solve):
+        # Delta = I/2 gives K = W Delta W^T = I/2 for any orthogonal frame:
+        # both kernels converge at once, to one eigenvalue five times over
+        from superosc import SolverFailure
+        cs = alternating_constraints(0, 1, 3)
+        frame = orthonormal_frame(constraint_matrix(cs, 6, CTX), cs.values, ctx=CTX)
+        half = [[mpf(1) / 2 if i == j else mpf(0) for j in range(7)] for i in range(7)]
+        delta = OverlapMatrix(n=6, entries=half, domain=None)
+        with pytest.raises(SolverFailure) as caught:
+            solve(delta, frame, CTX)
+        assert str(caught.value) == "degenerate generalized eigenvalues at working precision"
+        roots = caught.value.diagnostics["roots"]
+        assert len(roots) == 5 and all(abs(y - mpf(1) / 2) < mpf("1e-14") for y in roots)
+
+
+@pytest.mark.parametrize("method", ["polynomial", "both", "Secular"])
+def test_design_spectrum_rejects_unknown_method(method):
+    with pytest.raises(ValueError, match="method must be one of"):
+        design_spectrum(6, 3, symmetrize_domain(0, 1), CTX, method=method)
+
 
 def graded_positive_definite(order, grading, rng):
     """Q diag(1 ... 10^-grading) Q^T at the current precision, Q a product of
