@@ -16,7 +16,7 @@ import superosc as so
 ctx = so.Context(30)
 domain = so.symmetrize_domain(0, 1)
 
-result = so.design_spectrum(band_limit=10, m=5, domain=domain, ctx=ctx, seed=0)
+result = so.design_spectrum(band_limit=10, m=5, domain=domain, ctx=ctx)
 
 lam = result.optimal_yield
 signal = result.optimal_signal

@@ -16,7 +16,7 @@ import superosc as so
 ctx = so.Context(100)
 domain = so.symmetrize_domain(0, 1)
 
-result = so.design_spectrum(band_limit=10, m=6, domain=domain, ctx=ctx, seed=0)
+result = so.design_spectrum(band_limit=10, m=6, domain=domain, ctx=ctx)
 
 print("index  eigenvalue (yield)     crossings in (-1,1)")
 for i, (lam, sig) in enumerate(
@@ -30,6 +30,6 @@ print("bottom mode: maximal oscillation count, yield ~ 1e-23")
 
 # Every signal in the ladder still interpolates the same constraint data.
 for sig in result.spectrum.signals:
-    for t, v in zip(result.frame.points, result.frame.values):
+    for t, v in zip(result.constraints.points, result.constraints.values):
         assert abs(so.evaluate(sig, t, ctx) - v) < mp.mpf("1e-80")
 print("\nall", len(result.spectrum), "modes interpolate the constraints to 1e-80")

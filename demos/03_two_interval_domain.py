@@ -15,7 +15,7 @@ import superosc as so
 ctx = so.Context(100)
 domain = so.symmetrize_domain("0.5", 1)
 
-result = so.design_spectrum(band_limit=10, m=6, domain=domain, ctx=ctx, seed=0)
+result = so.design_spectrum(band_limit=10, m=6, domain=domain, ctx=ctx)
 
 values = result.spectrum.eigenvalues
 print("domain            :", [(mp.nstr(lo, 4), mp.nstr(hi, 4))

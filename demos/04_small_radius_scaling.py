@@ -15,7 +15,7 @@ ctx = so.Context(100)
 n, m = 10, 5
 radii = [mpf(1) / 64, mpf(1) / 32, mpf(1) / 16, mpf(1) / 8, mpf(1) / 4]
 
-table = so.scaling_sweep(n, m, radii, ctx, seed=0)
+table = so.scaling_sweep(n, m, radii, ctx)
 
 print("eigenvalues lambda_i(a), one column per radius:")
 header = "  i  " + "".join("     a=1/%-6d" % round(1 / float(a)) for a in radii)

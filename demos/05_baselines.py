@@ -17,7 +17,7 @@ import superosc as so
 ctx = so.Context(30)
 domain = so.symmetrize_domain(0, 1)
 
-result = so.design_spectrum(band_limit=10, m=5, domain=domain, ctx=ctx, seed=0)
+result = so.design_spectrum(band_limit=10, m=5, domain=domain, ctx=ctx)
 fk = so.fk_min_energy_signal(result.frame, ctx)
 
 fk_yield = so.yield_of(fk, domain, result.delta, ctx).algebraic
@@ -37,6 +37,6 @@ print("constrained optimum", mp.nstr(result.optimal_yield, 6),
 
 # One constraint at the origin only normalizes the signal, so the optimal
 # yield equals the top concentration eigenvalue.
-single = so.design_spectrum(10, 1, domain, ctx, seed=0)
+single = so.design_spectrum(10, 1, domain, ctx)
 gap = abs(single.optimal_yield - modes[0][0]) / modes[0][0]
 print("\nM=1 optimum vs top concentration mode: relative gap", mp.nstr(gap, 3))

@@ -42,8 +42,6 @@ class YieldReport:
 
     algebraic: object
     quadrature: object
-    domain: Domain
-    signal: FourierCosineSignal
 
 
 def _node_count(n, length, digits):
@@ -148,8 +146,7 @@ def yield_of(signal: FourierCosineSignal, domain: Domain,
         num_quad = mp.fsum(parts.values())
         quadrature = num_quad / _integrate_squared_period(signal)
     with ctx.workprec():
-        return YieldReport(algebraic=+algebraic, quadrature=+quadrature,
-                           domain=domain, signal=signal)
+        return YieldReport(algebraic=+algebraic, quadrature=+quadrature)
 
 
 def zero_crossings(signal: FourierCosineSignal, domain: Domain,
@@ -306,12 +303,12 @@ def _fit_slope(xs, ys):
     return (n * sxy - sx * sy) / (n * sxx - sx * sx)
 
 
-def _sweep(n, configs, ctx, seed):
+def _sweep(n, configs, ctx):
     """Spectra of (key, radius, M) configurations: rows, and errors by key."""
     rows, errors = [], {}
     for key, a, m in configs:
         try:
-            result = design_spectrum(n, m, symmetrize_domain(0, a), ctx, seed=seed)
+            result = design_spectrum(n, m, symmetrize_domain(0, a), ctx)
         except (SolverFailure, RankDeficientConstraints) as exc:
             errors[key] = str(exc)
             continue
@@ -322,8 +319,7 @@ def _sweep(n, configs, ctx, seed):
     return tuple(rows), errors
 
 
-def scaling_sweep(n: int, m: int, a_values, ctx: Context = FAST,
-                  seed: int = 0) -> SweepTable:
+def scaling_sweep(n: int, m: int, a_values, ctx: Context = FAST) -> SweepTable:
     """Spectra over a grid of interval radii, with log-log slope fits.
 
     Small radii push eigenvalues far below double precision, hence the
@@ -336,7 +332,7 @@ def scaling_sweep(n: int, m: int, a_values, ctx: Context = FAST,
         raise ValueError("interval radii must be pairwise distinct")
     if min(a_values) < mpf("0.1") and ctx.digits < 100:
         raise ValueError("radii below 0.1 need a high-precision context (>= 100 digits)")
-    rows, errors = _sweep(n, [(a, a, m) for a in a_values], ctx, seed)
+    rows, errors = _sweep(n, [(a, a, m) for a in a_values], ctx)
     slopes = {}
     with ctx.workprec():
         for i in sorted({row.index for row in rows}):
@@ -347,13 +343,12 @@ def scaling_sweep(n: int, m: int, a_values, ctx: Context = FAST,
     return SweepTable(rows=rows, slopes=slopes, errors=errors)
 
 
-def monotonicity_table(n: int, a, m_values, ctx: Context = FAST,
-                       seed: int = 0) -> SweepTable:
+def monotonicity_table(n: int, a, m_values, ctx: Context = FAST) -> SweepTable:
     """Spectra for several constraint counts at fixed band limit and radius."""
     a = mpf(a)
     if any(m > n + 1 for m in m_values):
         raise ValueError("constraint counts must be <= band limit + 1")
     if len(set(m_values)) != len(m_values):
         raise ValueError("constraint counts must be pairwise distinct")
-    rows, errors = _sweep(n, [(m, a, m) for m in m_values], ctx, seed)
+    rows, errors = _sweep(n, [(m, a, m) for m in m_values], ctx)
     return SweepTable(rows=rows, slopes={}, errors=errors)

@@ -103,7 +103,7 @@ def _solve(args, ctx):
     """design_spectrum on the domain flags; --method both solves with secular."""
     method = "secular" if args.method == "both" else args.method
     return design_spectrum(args.band_limit, args.constraints, _domain_from_args(args),
-                           ctx, seed=args.seed, method=method)
+                           ctx, method=method)
 
 
 def _config_echo(args, ctx, domain=None):
@@ -149,9 +149,10 @@ def _ln10(prec):
 def _mode_entry(index, lam, signal, result, ctx):
     report = yield_of(signal, result.domain, result.delta, ctx)
     diag = result.spectrum.diagnostics
+    cs = result.constraints
     with ctx.workprec():
-        values = series_values(signal, [ctx.real(t) for t in result.frame.points])
-        residual = max(abs(f - v) for f, v in zip(values, result.frame.values))
+        values = series_values(signal, [ctx.real(t) for t in cs.points])
+        residual = max(abs(f - v) for f, v in zip(values, cs.values))
     return {
         "index": index,
         "eigenvalue": ctx.to_decimal(lam),
@@ -172,19 +173,23 @@ def cmd_design(args, ctx):
     domain = result.domain
     lam = result.optimal_yield
     signal = result.optimal_signal
-    samples = args.samples if args.samples > 0 else 1001
-    return {
+    doc = {
         "config": _config_echo(args, ctx, domain),
         "eigenvalue": ctx.to_decimal(lam),
         "mode": _mode_entry(len(result.spectrum), lam, signal, result, ctx),
-        "constraint_points": [ctx.to_decimal(t) for t in result.frame.points],
-        "constraint_values": [ctx.to_decimal(v) for v in result.frame.values],
-        "series": {
-            "full_period": _series(signal, -mp.pi, mp.pi, samples, ctx),
+        "constraint_points": [ctx.to_decimal(t) for t in result.constraints.points],
+        "constraint_values": [ctx.to_decimal(v) for v in result.constraints.values],
+    }
+    if args.format == "json" or args.out:  # a CSV table to stdout has no series
+        samples = args.samples if args.samples > 0 else 1001
+        with ctx.workprec():  # both ends at the working precision, not the ambient one
+            period = -mp.pi, +mp.pi
+        doc["series"] = {
+            "full_period": _series(signal, *period, samples, ctx),
             "domain": _series(signal, domain.intervals[0][0],
                               domain.intervals[-1][1], samples, ctx),
-        },
-    }
+        }
+    return doc
 
 
 def cmd_spectrum(args, ctx):
@@ -258,14 +263,12 @@ def cmd_sweep(args, ctx):
     domain = None if args.a_values else symmetrize_domain(0, mpf(args.interval))
     if args.a_values:
         radii = [mpf(s) for s in args.a_values.split(",")]
-        table = scaling_sweep(args.band_limit, args.constraints, radii, ctx,
-                              seed=args.seed)
+        table = scaling_sweep(args.band_limit, args.constraints, radii, ctx)
         grid = {"kind": "interval_radius",
                 "values": [ctx.to_decimal(a) for a in radii]}
     else:
         ms = [int(s) for s in args.m_values.split(",")]
-        table = monotonicity_table(args.band_limit, domain.intervals[0][1], ms,
-                                   ctx, seed=args.seed)
+        table = monotonicity_table(args.band_limit, domain.intervals[0][1], ms, ctx)
         grid = {"kind": "constraint_count", "values": ms}
     rows = [
         {"key": ctx.to_decimal(r.key) if not isinstance(r.key, int) else r.key,

@@ -37,10 +37,6 @@ class ConstraintSet:
         if len(set(self.points)) != len(self.points):
             raise ValueError("constraint points must be pairwise distinct")
 
-    @property
-    def m(self):
-        return len(self.points)
-
 
 def alternating_constraints(interval_lo, interval_hi, m: int) -> ConstraintSet:
     """M equally spaced points on [lo, hi) with alternating +-1 targets.
@@ -179,16 +175,13 @@ class RotatedFrame:
     constraint matrix), the last M rows the constraint row space.  A
     coefficient vector A maps to B = rotation*A whose trailing M entries
     must equal mu_tilde.  Both are tuples, so int_rows never goes stale.
-    completion_seed is only recorded: no entry depends on it.  assemble and
-    the solver's K = W Delta W^T are integer dot products over int_rows.
+    assemble and the solver's K = W Delta W^T are integer dot products over
+    int_rows.
     """
 
     rotation: tuple
     free_dim: int
     mu_tilde: tuple
-    completion_seed: int
-    points: tuple
-    values: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "rotation", tuple(map(tuple, self.rotation)))
@@ -220,26 +213,15 @@ class RotatedFrame:
         return self.assemble([0] * self.free_dim)
 
 
-def orthonormal_frame(
-    cm: ConstraintMatrix, values, completion_seed: int = 0, ctx: Context = FAST
-) -> RotatedFrame:
+def orthonormal_frame(cm: ConstraintMatrix, values, ctx: Context = FAST) -> RotatedFrame:
     """Build the constraint-adapted orthonormal frame from one QR of C^T.
 
     The rotation's rows are the null-space columns of _factor's Q followed
-    by the row-space ones.  The frame is fully determined by the
-    constraints; completion_seed is accepted and recorded but no number
-    depends on it.
+    by the row-space ones.
     """
     if cm.m > cm.n + 1:
         raise ValueError("no solution for M>N+1")
     _check_targets(cm, values)
     with ctx.workprec():
         rotation, mu_tilde, _ = _factor(cm, values, ctx.rank_tolerance, drop=False)
-        return RotatedFrame(
-            rotation=rotation,
-            free_dim=cm.n + 1 - cm.m,
-            mu_tilde=mu_tilde,
-            completion_seed=completion_seed,
-            points=tuple(cm.points),
-            values=tuple(mpf(v) for v in values),
-        )
+        return RotatedFrame(rotation=rotation, free_dim=cm.n + 1 - cm.m, mu_tilde=mu_tilde)

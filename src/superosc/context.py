@@ -114,11 +114,6 @@ class Context:
             else mpf(x, prec=prec)._mpf_
         return to_str(x, self.decimal_digits, strip_zeros=True, min_fixed=1, max_fixed=1)
 
-    def from_decimal(self, s):
-        """Parse a decimal string produced by to_decimal."""
-        with self.workprec():
-            return mpf(s)
-
 
 FAST = Context(FAST_DIGITS)
 HIGH = Context(HIGH_PRECISION_DIGITS)

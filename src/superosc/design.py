@@ -53,14 +53,17 @@ class DesignResult:
 
 def design_spectrum(band_limit: int, m: int, domain: Domain, ctx: Context = FAST,
                     seed: int = 0, method: str = "secular") -> DesignResult:
-    """Solve the constrained yield maximization for one configuration."""
+    """Solve the constrained yield maximization for one configuration.
+
+    seed is accepted and nothing reads it: the constraints fix every number.
+    """
     if method not in METHODS:
         raise ValueError("method must be one of %s" % (METHODS,))
     lo, hi = constraint_interval(domain)
     with ctx.workprec():  # the points at the context's precision, not the ambient one
         cs = alternating_constraints(lo, hi, m)
     cm = constraint_matrix(cs, band_limit, ctx)
-    frame = orthonormal_frame(cm, cs.values, completion_seed=seed, ctx=ctx)
+    frame = orthonormal_frame(cm, cs.values, ctx)
     delta = overlap_matrix(domain, band_limit, ctx)
     solve = secular_spectrum if method == "secular" else jacobi_spectrum
     spectrum = solve(delta, frame, ctx)

@@ -15,10 +15,6 @@ from .context import FAST, Context
 from .errors import DomainError
 from .signals import _normalizers
 
-# Intervals whose endpoints differ by less than this are merged on
-# construction so downstream code sees one canonical form.
-MERGE_TOLERANCE = mpf("1e-15")
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -32,9 +28,6 @@ class Domain:
     @property
     def measure(self):
         return mp.fsum(hi - lo for lo, hi in self.intervals)
-
-    def __contains__(self, t):
-        return any(lo < t < hi for lo, hi in self.intervals)
 
 
 def _canonicalize(intervals):
@@ -52,14 +45,12 @@ def _canonicalize(intervals):
     merged = [cleaned[0]]
     for lo, hi in cleaned[1:]:
         plo, phi = merged[-1]
-        if lo < phi - MERGE_TOLERANCE:
+        if lo < phi:
             raise DomainError("intervals overlap")
-        if lo - phi <= MERGE_TOLERANCE:
+        if lo == phi:
             merged[-1] = (plo, hi)
         else:
             merged.append((lo, hi))
-    if not mp.fsum(hi - lo for lo, hi in merged) > 0:
-        raise DomainError("domain has zero measure")
     return tuple(merged)
 
 

@@ -164,7 +164,6 @@ def _spectrum(delta, frame, ctx, kernel, method):
         free_parts=free_parts,
         diagnostics={
             "method": method,
-            "completion_seed": frame.completion_seed,
             "secular_residuals": sec_res,
             "stationarity_residuals": stationarity,
             "deflated": defl_flags,

@@ -5,8 +5,8 @@ import json
 import pytest
 from mpmath import mp, mpf
 
-from superosc import (Context, cli, design_spectrum, sample, solver, symmetrize_domain,
-                      zero_crossings)
+from superosc import (Context, FourierCosineSignal, cli, design_spectrum, evaluate, sample,
+                      solver, symmetrize_domain, zero_crossings)
 from superosc import design as design_module
 from superosc.cli import main, render_json
 
@@ -37,6 +37,36 @@ class TestDesign:
         assert len(doc["series"]["full_period"]["t"]) == 33
         lam = mpf(doc["eigenvalue"])
         assert 0 < lam < 1
+
+    def test_csv_to_stdout_samples_nothing(self, tmp_path, capsys, monkeypatch):
+        # the table is the one written beside the series files, and no
+        # series is sampled for it
+        argv = ["design", "-n", "10", "-m", "5", "--interval", "1", "--precision", "30",
+                "--format", "csv"]
+        code, table = run_cli(tmp_path, *argv)
+        assert code == 0 and (tmp_path / "doc.out_series_full_period.csv").exists()
+        monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled a series"))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == table
+
+    def test_full_period_at_working_precision(self, tmp_path):
+        # t_k = -pi + 2 pi k / 10 at the working precision, with f(t_k) as an
+        # evaluation 60 digits higher gives it
+        code, text = run_cli(tmp_path, "design", "-n", "6", "-m", "3", "--interval", "1",
+                             "--precision", "30", "--samples", "11")
+        assert code == 0
+        doc = json.loads(text)
+        series = doc["series"]["full_period"]
+        assert series["t"][5] == "0.0"
+        ctx = Context(90)
+        with ctx.workprec():
+            signal = FourierCosineSignal(
+                band_limit=6, coeffs=tuple(mpf(c) for c in doc["mode"]["coefficients"]))
+            scale = mp.fsum(abs(c) for c in signal.coeffs)
+            for k, (t, f) in enumerate(zip(series["t"], series["f"])):
+                stated = -mp.pi + 2 * mp.pi * k / 10
+                assert abs(mpf(t) - stated) <= mpf("1e-30") * mp.pi
+                assert abs(mpf(f) - evaluate(signal, stated, ctx)) <= mpf("1e-30") * scale
 
     def test_too_many_constraints_exits_2(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "design", "-n", "4", "-m", "6",
@@ -407,9 +437,14 @@ class TestSweep:
         assert code == 0
         assert "method" not in json.loads(text)["config"]
 
-    def test_needs_exactly_one_grid(self, tmp_path):
+    def test_needs_exactly_one_grid(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "sweep", "-n", "5", "-m", "3")
         assert code == 2
+        for grid in (["--interval", "1"], ["--a-values", "0.2,0.4", "--m-values", "2,3"]):
+            code, text = run_cli(tmp_path, "sweep", "-n", "5", "-m", "3", *grid)
+            assert (code, text) == (2, "")
+            assert ("error: sweep takes --a-values alone, or --interval with --m-values"
+                    in capsys.readouterr().err)
 
     def test_repeated_radius_exits_2(self, tmp_path, capsys):
         # a repeated radius would leave the slope fit no spread to divide by

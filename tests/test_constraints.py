@@ -162,7 +162,7 @@ class TestFrame:
         # one constraint f(0)=1 at N=10: the fixed coordinate is 1/||row||
         cs = alternating_constraints(0, 1, 1)
         cm = constraint_matrix(cs, 10, CTX)
-        frame = orthonormal_frame(cm, cs.values, completion_seed=3, ctx=CTX)
+        frame = orthonormal_frame(cm, cs.values, ctx=CTX)
         with CTX.workprec():
             expected = 1 / mp.sqrt(1 / (2 * mp.pi) + 10 / mp.pi)
         assert abs(frame.mu_tilde[0] - expected) < 1e-14
@@ -170,7 +170,7 @@ class TestFrame:
     def test_rotation_is_orthogonal(self):
         cs = alternating_constraints(0, "1.7", 6)
         cm = constraint_matrix(cs, 11, CTX)
-        frame = orthonormal_frame(cm, cs.values, completion_seed=9, ctx=CTX)
+        frame = orthonormal_frame(cm, cs.values, ctx=CTX)
         with CTX.workprec():
             rotation = mp.matrix(frame.rotation)
             product = rotation * rotation.T
@@ -181,7 +181,7 @@ class TestFrame:
     def test_particular_solution_interpolates(self):
         cs = alternating_constraints("0.2", "1.5", 5)
         cm = constraint_matrix(cs, 9, CTX)
-        frame = orthonormal_frame(cm, cs.values, completion_seed=0, ctx=CTX)
+        frame = orthonormal_frame(cm, cs.values, ctx=CTX)
         coeffs = frame.particular_solution()
         signal = FourierCosineSignal(band_limit=9, coeffs=tuple(coeffs))
         for t, v in zip(cs.points, cs.values):
@@ -191,7 +191,7 @@ class TestFrame:
         rng = random.Random(2)
         cs = alternating_constraints(0, 1, 4)
         cm = constraint_matrix(cs, 7, CTX)
-        frame = orthonormal_frame(cm, cs.values, completion_seed=5, ctx=CTX)
+        frame = orthonormal_frame(cm, cs.values, ctx=CTX)
         with CTX.workprec():
             free = mp.matrix([rng.uniform(-5, 5) for _ in range(frame.free_dim)])
             coeffs = frame.assemble(free)
@@ -202,7 +202,7 @@ class TestFrame:
     def test_mu_tilde_norm_is_min_energy(self):
         cs = alternating_constraints(0, 1, 4)
         cm = constraint_matrix(cs, 8, CTX)
-        frame = orthonormal_frame(cm, cs.values, completion_seed=1, ctx=CTX)
+        frame = orthonormal_frame(cm, cs.values, ctx=CTX)
         reference = min_norm_interpolant(cm.entries, cs.values)
         with CTX.workprec():
             mu_tilde = mp.matrix(frame.mu_tilde)
@@ -213,7 +213,7 @@ class TestFrame:
     def test_square_system_unique_solution(self):
         cs = alternating_constraints(0, "0.9", 6)
         cm = constraint_matrix(cs, 5, CTX)  # M = N+1 = 6
-        frame = orthonormal_frame(cm, cs.values, completion_seed=0, ctx=CTX)
+        frame = orthonormal_frame(cm, cs.values, ctx=CTX)
         assert frame.free_dim == 0
         with CTX.workprec():
             direct = mp.lu_solve(cm.entries, mp.matrix(cs.values))
@@ -224,28 +224,19 @@ class TestFrame:
     def test_rank_deficient_frame_rejected(self):
         dup, values = TestReduceRank()._duplicated(contradictory=False)
         with pytest.raises(RankDeficientConstraints):
-            orthonormal_frame(dup, values, completion_seed=0, ctx=CTX)
+            orthonormal_frame(dup, values, ctx=CTX)
 
     def test_too_many_constraints_rejected(self):
         cs = alternating_constraints(0, 1, 7)
         cm = constraint_matrix(cs, 5, CTX)  # M=7 > N+1
         with pytest.raises(ValueError, match="no solution"):
-            orthonormal_frame(cm, cs.values, completion_seed=0, ctx=CTX)
+            orthonormal_frame(cm, cs.values, ctx=CTX)
 
     @pytest.mark.parametrize("values", [(1, -1, 1, 7), (1, -1)])
     def test_target_count_must_match_rows(self, values):
         cm = constraint_matrix(alternating_constraints(0, 1, 3), 5, CTX)
         with pytest.raises(ValueError, match="3 constraint rows"):
-            orthonormal_frame(cm, values, completion_seed=0, ctx=CTX)
-
-    def test_seed_does_not_change_frame(self):
-        cs = alternating_constraints(0, "1.2", 4)
-        cm = constraint_matrix(cs, 9, CTX)
-        one = orthonormal_frame(cm, cs.values, completion_seed=1, ctx=CTX)
-        other = orthonormal_frame(cm, cs.values, completion_seed=20260808, ctx=CTX)
-        assert one.rotation == other.rotation
-        assert one.mu_tilde == other.mu_tilde
-        assert (one.completion_seed, other.completion_seed) == (1, 20260808)
+            orthonormal_frame(cm, values, ctx=CTX)
 
     def test_containers_are_immutable(self):
         # Delta, C, the rotation and mu~ are tuples: no entry can change
@@ -286,7 +277,7 @@ class TestFrame:
         # orthogonal to the earlier ones; the leading rows are orthogonal to all
         cs = alternating_constraints(0, 1, 4)
         cm = constraint_matrix(cs, 8, CTX)
-        frame = orthonormal_frame(cm, cs.values, completion_seed=0, ctx=CTX)
+        frame = orthonormal_frame(cm, cs.values, ctx=CTX)
         with CTX.workprec():
             inner = mp.matrix(frame.rotation) * mp.matrix(cm.entries).T
         for i in range(frame.free_dim):
@@ -355,8 +346,7 @@ class TestIntegerFrame:
             turned = mp.matrix(frame.rotation)
             turned[0:8, :] = _random_orthogonal(8, rng) * turned[0:8, :]
             frames = [RotatedFrame(rotation=rotation.tolist(), free_dim=8,
-                                   mu_tilde=frame.mu_tilde, completion_seed=0,
-                                   points=cs.points, values=cs.values)
+                                   mu_tilde=frame.mu_tilde)
                       for rotation in (_random_orthogonal(13, rng), turned)]
             for frame in frames:
                 for scale in (mpf("1e-30"), 1, mpf("1e30")):

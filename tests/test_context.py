@@ -39,7 +39,7 @@ class TestDecimalRoundTrip:
     def test_floats_round_trip(self, value):
         ctx = Context(15)
         x = ctx.real(value)
-        assert ctx.from_decimal(ctx.to_decimal(x)) == x
+        assert ctx.real(ctx.to_decimal(x)) == x
 
     @pytest.mark.parametrize("digits", [15, 30, 100])
     def test_random_mpf_round_trip(self, digits):
@@ -49,13 +49,13 @@ class TestDecimalRoundTrip:
             for _ in range(40):
                 x = (mpf(rng.uniform(-1, 1)) * mp.pi) ** rng.randint(1, 5) \
                     * mpf(10) ** rng.randint(-80, 80)
-                assert ctx.from_decimal(ctx.to_decimal(x)) == x
+                assert ctx.real(ctx.to_decimal(x)) == x
 
     def test_tiny_eigenvalue_scale_round_trips(self):
         ctx = Context(100)
         with ctx.workprec():
             x = mpf("2.36786e-26") * mp.pi
-        assert ctx.from_decimal(ctx.to_decimal(x)) == x
+        assert ctx.real(ctx.to_decimal(x)) == x
 
     @pytest.mark.parametrize("digits", [15, 30, 100])
     def test_matches_nstr_formula(self, digits):
@@ -78,4 +78,4 @@ class TestDecimalRoundTrip:
         for x in values + [wide, -wide]:
             assert ctx.to_decimal(x) == reference(x)
             with ctx.workprec():
-                assert ctx.from_decimal(ctx.to_decimal(x)) == +x
+                assert ctx.real(ctx.to_decimal(x)) == +x

@@ -32,6 +32,20 @@ class TestDomain:
         with pytest.raises(DomainError):
             Domain(((0, 1), (0.5, 2)))
 
+    @pytest.mark.parametrize("make, count", [
+        (lambda: symmetrize_domain("1e-20", 1), 2),
+        (lambda: Domain(((0, 1), (1 + mpf("1e-30"), 2))), 2),
+        (lambda: Domain(((0, 1), (1 - mpf("1e-16"), 2))), None),
+    ], ids=["annulus-gap-2e-20", "gap-1e-30", "overlap-1e-16"])
+    def test_only_exactly_touching_intervals_merge(self, make, count):
+        # any gap, however small, keeps two intervals, and any overlap is refused
+        with mp.workdps(50):
+            if count is None:
+                with pytest.raises(DomainError, match="intervals overlap"):
+                    make()
+            else:
+                assert len(make().intervals) == count
+
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             Domain(((-4, 1),))

@@ -46,10 +46,10 @@ CTX40 = Context(40)
 SRC = pathlib.Path(solver.__file__).parent
 
 
-def build_problem(n, m, domain, ctx, seed=0):
+def build_problem(n, m, domain, ctx):
     cs = alternating_constraints(*_cinterval(domain), m)
     cm = constraint_matrix(cs, n, ctx)
-    frame = orthonormal_frame(cm, cs.values, completion_seed=seed, ctx=ctx)
+    frame = orthonormal_frame(cm, cs.values, ctx=ctx)
     delta = overlap_matrix(domain, n, ctx)
     return cs, cm, frame, delta
 
@@ -81,8 +81,7 @@ def hand_built(delta_free, gamma, delta_fixed):
     with CTX.workprec():
         delta = OverlapMatrix(n=2, entries=mp.matrix(rows).tolist(), domain=None)
         frame = RotatedFrame(rotation=mp.eye(3).tolist(), free_dim=2,
-                             mu_tilde=[mpf(1)], completion_seed=0,
-                             points=(mpf(0),), values=(mpf(1),))
+                             mu_tilde=[mpf(1)])
     return delta, frame
 
 
@@ -219,7 +218,7 @@ class TestSecularSpectrum:
         domain = symmetrize_domain(0, 1)
         cs = alternating_constraints(0, 1, 3)
         cm = constraint_matrix(cs, 6, CTX)
-        frame = orthonormal_frame(cm, (0, 0, 0), completion_seed=0, ctx=CTX)
+        frame = orthonormal_frame(cm, (0, 0, 0), ctx=CTX)
         delta = overlap_matrix(domain, 6, CTX)
         with pytest.raises(ValueError, match="targets are all zero"):
             secular_spectrum(delta, frame, CTX)
@@ -254,7 +253,7 @@ class TestSignalProperties:
         n, m = nm
         domain = symmetrize_domain(0, "%.2f" % (hundredths / 100))
         result = design_spectrum(n, m, domain, CTX40)
-        frame = result.frame
+        cs = result.constraints
         assert len(result.spectrum) == n + 2 - m
         with CTX40.workprec():
             for lam, sig in zip(result.spectrum.eigenvalues, result.spectrum.signals):
@@ -265,7 +264,7 @@ class TestSignalProperties:
                     assert abs(ray - lam) <= mpf("1e-20") * lam
                 scale = mp.fsum(abs(c) for c in sig.coeffs)
                 residual = max(abs(evaluate(sig, t, CTX40) - v)
-                               for t, v in zip(frame.points, frame.values))
+                               for t, v in zip(cs.points, cs.values))
                 assert residual <= mpf("1e-35") * scale
 
 
@@ -284,8 +283,7 @@ class TestFreeBasisInvariance:
             rotation = mp.matrix(frame.rotation)
             rotation[0:f, :] = u.T * rotation[0:f, :]
         turned = RotatedFrame(rotation=rotation.tolist(), free_dim=f,
-                              mu_tilde=frame.mu_tilde, completion_seed=1,
-                              points=frame.points, values=frame.values)
+                              mu_tilde=frame.mu_tilde)
         other = secular_spectrum(delta, turned, CTX30)
         assert len(other) == len(spec) == 7
         for a, b in zip(spec.eigenvalues, other.eigenvalues):
@@ -403,7 +401,7 @@ class TestPrecisionLadder:
         plain = design_spectrum(10, 6, domain, Context(100))
         with mp.workdps(200):
             wide = design_spectrum(10, 6, domain, Context(100))
-        assert wide.frame.points == plain.frame.points
+        assert wide.constraints.points == plain.constraints.points
         assert wide.spectrum.eigenvalues == plain.spectrum.eigenvalues
 
 
@@ -612,6 +610,18 @@ class TestEigensystem:
         # every module but the package index and its exceptions imports mpmath
         assert ("mpmath" in modules) == (path.stem not in ("__init__", "errors"))
         assert not [m for m in modules if m.startswith("mpmath.matrices")]
+
+    @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+    def test_only_design_spectrum_takes_a_seed(self, path):
+        # no number depends on a seed: design_spectrum accepts one for its
+        # callers and passes it no further
+        text = path.read_text()
+        takers = ["%s.%s" % (path.stem, node.name) for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+                  & {"seed", "completion_seed"}]
+        assert takers == (["design.design_spectrum"] if path.stem == "design" else [])
+        assert "completion_seed" not in text
 
 
 class TestJacobiEigensystem:
